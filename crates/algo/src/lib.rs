@@ -2,19 +2,21 @@
 //!
 //! Implements every solver evaluated in the paper:
 //!
+//! * [`ShardedSolver`] — the CELF engine every production solve runs
+//!   through: a prepared plan over the component labels of the
+//!   photo–query graph, one lazy stream per component merged by a
+//!   budget-aware coordinator, with a bit-identical transcript to
+//!   [`lazy_greedy`]; [`main_algorithm_sharded`] is Algorithm 1 on it;
 //! * [`lazy_greedy`] — the CELF-style lazy greedy of Leskovec et al.
 //!   (Algorithm 2 of the paper) with the unit-cost (`UC`) and cost-benefit
-//!   (`CB`) selection rules, plus an [`eager_greedy`] reference used to
-//!   quantify the lazy-evaluation speedup;
-//! * [`main_algorithm`] — Algorithm 1: run both rules, keep the better
-//!   solution, for a `(1 − 1/e)/2` worst-case guarantee;
-//! * [`sharded`] — a component-sharded CELF driver: one lazy stream per
-//!   connected component of the photo–query graph, merged by a budget-aware
-//!   coordinator, with a bit-identical transcript to [`lazy_greedy`];
+//!   (`CB`) selection rules, kept with [`lazy_greedy_from`], the
+//!   [`eager_greedy`] reference and [`main_algorithm`] (Algorithm 1: run
+//!   both rules, keep the better solution, for a `(1 − 1/e)/2` worst-case
+//!   guarantee) as the global oracles the plan is tested against;
 //! * [`incremental`] — an epoch-resident solver that applies
-//!   [`par_core::delta`] epoch deltas and replays the cached CELF stream
-//!   transcripts of clean components, bit-identical to a from-scratch
-//!   sharded solve of the post-delta instance;
+//!   [`par_core::delta`] epoch deltas and drives the plan with the cached
+//!   stream transcripts of clean components, bit-identical to a
+//!   from-scratch solve of the post-delta instance;
 //! * [`sviridenko()`](sviridenko::sviridenko) — partial-enumeration greedy with the optimal
 //!   `(1 − 1/e)` guarantee (Theorem 4.6), exponential in the seed size and
 //!   practical only for small instances;
@@ -36,7 +38,7 @@
 //!
 //! // The paper's Figure 1 instance under a 4 MB budget.
 //! let inst = figure1_instance(4 * MB);
-//! let outcome = par_algo::main_algorithm(&inst); // Algorithm 1
+//! let outcome = par_algo::main_algorithm_sharded(&inst); // Algorithm 1
 //! assert!(outcome.best.cost <= 4 * MB);
 //!
 //! // Certify the run a posteriori: how close to OPT are we provably?
@@ -69,12 +71,9 @@ pub use curve::{quality_curve, CurvePoint};
 pub use error::SolveError;
 pub use incremental::{DeltaStats, EpochReport, IncrementalSolver};
 pub use local_search::{swap_local_search, LocalSearchConfig};
-pub use main_alg::{
-    main_algorithm, main_algorithm_packed, main_algorithm_scratch, main_algorithm_sharded,
-    main_algorithm_with, MainOutcome,
-};
+pub use main_alg::{main_algorithm, main_algorithm_sharded, MainOutcome};
 pub use online_bound::{online_bound, OnlineBound};
-pub use sharded::{sharded_lazy_greedy, sharded_lazy_greedy_from, ShardedSolver, SolveScratch};
+pub use sharded::{ShardedSolver, SolveScratch};
 pub use streaming::{density_sieve, sieve_streaming};
 pub use sviridenko::{sviridenko, SviridenkoConfig};
 pub use types::{GreedyOutcome, RunStats};

@@ -42,61 +42,18 @@ pub fn main_algorithm(inst: &Instance) -> MainOutcome {
     pick_winner(uc, cb)
 }
 
-/// Runs Algorithm 1 through the component-sharded solver of
-/// [`crate::sharded`]: the instance is decomposed once and both sub-runs
-/// reuse the decomposition. Transcripts (and score bits) are identical to
-/// [`main_algorithm`]; only the instrumentation counters differ.
+/// Runs Algorithm 1 through the prepared CELF plan of [`crate::sharded`]:
+/// the instance is labeled once and both sub-runs reuse the plan.
+/// Transcripts (and score bits) are identical to [`main_algorithm`]; only
+/// the instrumentation counters differ.
 pub fn main_algorithm_sharded(inst: &Instance) -> MainOutcome {
-    let solver = ShardedSolver::new(inst);
-    let uc = solver.solve(GreedyRule::UnitCost);
-    let cb = solver.solve(GreedyRule::CostBenefit);
-    pick_winner(uc, cb)
-}
-
-/// [`main_algorithm_sharded`] drawing every prepare- and solve-time buffer
-/// from `scratch` (and returning the capacity there afterwards): the fleet
-/// engine's per-tenant entry point. Bit-identical to `main_algorithm_sharded`
-/// regardless of what the scratch previously held — see
-/// [`SolveScratch`](crate::SolveScratch).
-pub fn main_algorithm_scratch(inst: &Instance, scratch: &mut SolveScratch) -> MainOutcome {
-    let solver = ShardedSolver::new_in(inst, scratch);
-    let uc = solver.solve_scratch(GreedyRule::UnitCost, scratch);
-    let cb = solver.solve_scratch(GreedyRule::CostBenefit, scratch);
-    solver.recycle(scratch);
-    pick_winner(uc, cb)
-}
-
-/// [`main_algorithm_scratch`] with the component labeling already known —
-/// the entry point for catalog-backed serving, where an instance arrives
-/// from a `phocus-pack` file with its shard labels persisted alongside:
-/// the solver skips the union-find pass entirely and goes straight to the
-/// seed sweep. Bit-identical to [`main_algorithm_sharded`].
-pub fn main_algorithm_packed(
-    inst: &Instance,
-    labels: par_core::ShardLabels,
-    scratch: &mut SolveScratch,
-) -> MainOutcome {
-    let solver = ShardedSolver::new_in_with_labels(inst, labels, scratch);
-    let uc = solver.solve_scratch(GreedyRule::UnitCost, scratch);
-    let cb = solver.solve_scratch(GreedyRule::CostBenefit, scratch);
-    solver.recycle(scratch);
-    pick_winner(uc, cb)
-}
-
-/// Dispatches to [`main_algorithm_sharded`] or [`main_algorithm`] based on a
-/// configuration knob (see `phocus::PhocusConfig::sharding`).
-pub fn main_algorithm_with(inst: &Instance, sharding: bool) -> MainOutcome {
-    if sharding {
-        main_algorithm_sharded(inst)
-    } else {
-        main_algorithm(inst)
-    }
+    ShardedSolver::new(inst).main_algorithm(&mut SolveScratch::new())
 }
 
 /// `argmax(res1, res2)` — ties go to CB, which is also the paper's
-/// empirically dominant sub-algorithm. Shared with the epoch-resident
-/// solver in [`crate::incremental`], which must reproduce Algorithm 1's
-/// winner selection exactly.
+/// empirically dominant sub-algorithm. Shared with the plan and the
+/// epoch-resident solver in [`crate::incremental`], which must reproduce
+/// Algorithm 1's winner selection exactly.
 pub(crate) fn pick_winner(uc: GreedyOutcome, cb: GreedyOutcome) -> MainOutcome {
     let (winner, best) = if uc.score > cb.score {
         (GreedyRule::UnitCost, uc.clone())

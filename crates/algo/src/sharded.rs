@@ -1,20 +1,19 @@
-//! Component-sharded CELF (lazy greedy over a component decomposition).
+//! The CELF engine: lazy greedy over a component labeling.
 //!
-//! [`sharded_lazy_greedy`] produces a **bit-identical** transcript to the
-//! global [`lazy_greedy`](crate::lazy_greedy) — same photos, same order,
-//! same `f64` score bits — while doing strictly less gain recomputation.
-//! The instance is first split by [`par_core::components::decompose`] into
-//! shards that interact only through the shared budget. Each shard then runs
-//! its own lazy stream (a CELF heap plus per-photo staleness stamps), and a
-//! budget-aware coordinator repeatedly takes the stream whose *settled* top
-//! has the maximum key, with the global heap's exact tie-break (smaller
-//! photo id).
+//! [`ShardedSolver`] is the one prepared plan every production solve runs
+//! through. It produces a **bit-identical** transcript to the global
+//! [`lazy_greedy`](crate::lazy_greedy) — same photos, same order, same `f64`
+//! score bits — while doing strictly less gain recomputation. The instance's
+//! [`ShardLabels`] split the photos into shards that interact only through
+//! the shared budget; each shard runs its own lazy stream, and a budget-aware
+//! coordinator repeatedly takes the stream whose *settled* top has the
+//! maximum key, with the global heap's exact tie-break (smaller photo id).
 //!
-//! All streams share **one** evaluator — the prepared solver's clone of the
-//! post-`S₀` arena — so every gain is computed by the very same code on the
-//! very same state as the global solver's, making bit-identity of scores a
-//! triviality rather than a theorem about sub-instance remapping. The
-//! decomposition buys speed through what is *not* recomputed, at two levels:
+//! All streams share **one** evaluator — a clone of the prepared post-`S₀`
+//! arena — so every gain is computed by the very same code on the very same
+//! state as the global solver's, making bit-identity of scores a triviality
+//! rather than a theorem about sub-instance remapping. The labeling buys
+//! speed through what is *not* recomputed, at three levels:
 //!
 //! 1. **Across shards**: the global heap's epoch counter advances on *every*
 //!    accept, so every cached entry goes stale even when the accepted photo
@@ -29,69 +28,93 @@
 //!    changed member *and its stored CSR neighbors* (all members, in dense
 //!    contexts) marks precisely the photos whose cached gains may have
 //!    moved. A popped entry whose photo's version is unchanged is guaranteed
-//!    to recompute to the same key bits, so the recomputation is skipped
-//!    entirely.
+//!    to recompute to the same key bits, so the recomputation is skipped.
 //! 3. **The singleton pool**: photos forming singleton components share no
 //!    stored pair with anyone, so their seed keys are *frozen* — exact for
 //!    the whole run. The pool's stream is a cursor over entries pre-sorted
-//!    in pop order (cached per rule at prepare time) instead of a heap:
-//!    pops are sequential reads with no sift-downs, no staleness checks,
-//!    and pool accepts skip change-tracking and propagation outright.
+//!    in pop order (cached per rule at prepare time) instead of a heap.
 //!
-//! On top of removing redundant re-evaluations, the prepared
-//! [`ShardedSolver`] amortizes all rule-independent work across solves: the
-//! decomposition, the `S₀` replay, and the epoch-0 seed sweep (marginal
-//! gains at the post-`S₀` state do not depend on the greedy rule; each
-//! solve derives its keys as `rule.key(δ, cost)` exactly as the global
-//! seeding does). Algorithm 1 runs both rules, so its sharded form pays for
-//! one seed sweep instead of two.
+//! The plan amortizes all rule-independent work across solves: the
+//! labeling, the `S₀` replay, and the epoch-0 seed sweep (marginal gains at
+//! the post-`S₀` state do not depend on the greedy rule; each solve derives
+//! its keys as `rule.key(δ, cost)` exactly as the global seeding does).
+//! Algorithm 1 runs both rules, so it pays for one seed sweep instead of two.
 //!
 //! Why the transcript is identical: at every step, global CELF selects the
 //! photo with the maximum *current* key among unselected photos affordable
 //! under the remaining budget (lazy acceptance is exact by submodularity),
 //! breaking ties toward the smaller id; photos found unaffordable are
 //! dropped permanently (costs only grow). A settled shard stream parks its
-//! shard's true argmax under the same rule: cached keys are upper bounds
-//! (gains only shrink as the solution grows), current-stamp entries carry
-//! exact keys, and when the global loop recomputes a stale-but-unchanged
-//! top it re-pushes the identical `(key, photo)` and accepts it on the next
-//! pop — the very photo the stamp check parks without recomputing. A parked
-//! candidate can never go stale while parked: only accepts in its own shard
-//! touch its read-set, and its shard only accepts the parked candidate
-//! itself. The coordinator's max-heap over parked candidates therefore
-//! selects the same global argmax, re-checking affordability at pop time
-//! exactly where the global loop does.
+//! shard's true argmax under the same rule: cached keys are upper bounds,
+//! current-stamp entries carry exact keys, and when the global loop
+//! recomputes a stale-but-unchanged top it re-pushes the identical
+//! `(key, photo)` and accepts it on the next pop — the very photo the stamp
+//! check parks without recomputing. A parked candidate can never go stale
+//! while parked: only accepts in its own shard touch its read-set, and its
+//! shard only accepts the parked candidate itself. The coordinator's
+//! max-heap over parked candidates therefore selects the same global
+//! argmax, re-checking affordability at pop time exactly where the global
+//! loop does.
 //!
-//! Per-component stream construction (keying the cached seed gains and
-//! heapifying) is dispatched through `par-exec`, so multi-core runs scale
-//! with component count; the coordinator itself is sequential by nature
-//! (each accept must observe the previous one), and the serial fallback is
-//! transcript-identical because heap *pop order* is fully determined by the
-//! entry ordering, not by construction order.
+//! # Transcript replay
+//!
+//! The epoch-resident [`IncrementalSolver`](crate::IncrementalSolver) drives
+//! the same coordinator with a third stream state. While recording, each
+//! non-pool stream logs its *observable* events: `Drop` when it pops a
+//! photo that no longer fits the remaining budget, and `Cand` when the
+//! coordinator pops its parked candidate, with the key it carried and
+//! whether it was accepted. Internal heap mechanics — stale re-keys,
+//! `is_selected` skips — are not recorded: for a clean shard they are a
+//! deterministic function of the intra-shard accept history, which is
+//! exactly what the replay reproduces. A clean shard's gains are bit-stable
+//! across an epoch delta, so its recorded keys stay exact **as long as the
+//! run unfolds the same way**, which a replay stream re-verifies event by
+//! event:
+//!
+//! * `Drop(p)`: if `p` still does not fit, consume and re-record; if it fits
+//!   now, the transcript is missing `p`'s candidacies — **go live**.
+//! * `Cand { photo, key, accepted }`: park `(key, photo)`. When the
+//!   coordinator pops it, compare the recorded flag with the current
+//!   affordability: on agreement the replay continues (accepts apply the
+//!   photo, drops are free); on disagreement apply the *current* outcome,
+//!   then **go live**.
+//!
+//! Going live rebuilds the shard's heap over its unselected, still-affordable
+//! photos with freshly computed gains — the exact-argmax state the lazy
+//! settle loop reaches, so the coordinator cannot tell the difference.
+//! Dropped photos never re-enter (costs only grow), and interposed replay
+//! candidacies that end in drops are cost- and coverage-neutral, so they
+//! cannot perturb the accept sequence. Replay accepts use the plain
+//! [`Evaluator::add`]: coverage changes are always intra-shard and replay
+//! streams read no staleness stamps.
+//!
+//! The coordinator is sequential by nature (each accept must observe the
+//! previous one); the seed sweep is one `par-exec` batch, and heap *pop
+//! order* is fully determined by the entry ordering, so the serial fallback
+//! is transcript-identical.
 
 use crate::celf::Entry;
+use crate::main_alg::{pick_winner, MainOutcome};
 use crate::types::{GreedyOutcome, RunStats};
 use crate::GreedyRule;
-use par_core::components::{decompose, decompose_with_labels, Decomposition, ShardLabels};
+use par_core::components::{decompose, Decomposition, ShardLabels};
 use par_core::{ContextSim, EvalArena, EvalStats, Evaluator, Instance, PhotoId, SubsetId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
-/// Reusable solver buffers for multi-tenant (fleet) runs: the evaluator
-/// arenas, per-shard stream entry buffers, staleness stamps, and the
-/// change-tracking list that [`ShardedSolver`] otherwise allocates fresh on
-/// every prepare + solve.
+/// Reusable solver buffers: the evaluator arenas, per-shard stream entry
+/// buffers, staleness stamps, and the change-tracking list.
 ///
-/// One `SolveScratch` serves any sequence of tenants: buffers grow to the
-/// largest instance seen and are reused (cleared, then fully rewritten) for
-/// each subsequent one. Like [`EvalArena`], the scratch holds *capacity
-/// only*, so [`ShardedSolver::solve_scratch`] is bit-identical to
-/// [`ShardedSolver::solve`] no matter what ran in the scratch before — the
-/// invariant the fleet determinism tests pin.
+/// One `SolveScratch` serves any sequence of instances (fleet tenants,
+/// epochs, budget sweeps): buffers grow to the largest instance seen and are
+/// reused (cleared, then fully rewritten) for each subsequent one. Like
+/// [`EvalArena`], the scratch holds *capacity only*, so a solve through a
+/// dirty scratch is bit-identical to one through a fresh scratch — the
+/// invariant the engine and fleet tests pin.
 #[derive(Debug, Default)]
 pub struct SolveScratch {
-    /// Capacity for the prepared solver's base (post-`S₀`) evaluator.
+    /// Capacity for the prepared plan's base (post-`S₀`) evaluator.
     base_eval: EvalArena,
     /// Capacity for the per-solve evaluator clone.
     solve_eval: EvalArena,
@@ -111,112 +134,227 @@ impl SolveScratch {
     }
 }
 
+/// One recorded observable event of a shard's stream. See the
+/// [module docs](self) for the replay verification rules.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum TEvent {
+    /// The stream popped this photo while it no longer fit the remaining
+    /// budget and dropped it permanently.
+    Drop(PhotoId),
+    /// A parked candidate was popped by the coordinator carrying `key`;
+    /// `accepted` records whether it was affordable at pop time.
+    Cand {
+        /// The candidate photo.
+        photo: PhotoId,
+        /// The exact priority key it was parked with.
+        key: f64,
+        /// Whether the coordinator accepted (vs dropped) it.
+        accepted: bool,
+    },
+}
 
-/// One per-component lazy stream: a CELF heap over the shard's photos
-/// (global ids) and the parked settled top.
-///
-/// Instead of the global CELF's single epoch (every accept invalidates every
-/// cached entry), each *subset* carries a version counter — `ver` in
-/// [`ShardedSolver::solve_with`] — bumped when an accept changes any of its
-/// members' coverage. A cached entry stores its photo's stamp
-/// ([`photo_stamp`]) at compute time; the entry is exactly current while the
-/// stamp is unchanged, because a marginal gain reads only the coverage
-/// state of the photo's own contexts. Popping a current entry therefore
-/// skips the gain recomputation the global loop would have paid, with a
-/// bit-identical key.
-struct ShardStream {
-    state: StreamState,
-    /// The settled top: current (stamp-validated) and affordable at settle
-    /// time. `None` once the stream is drained.
-    candidate: Option<Entry>,
-    pq_pops: u64,
+/// A shard's transcripts, one per greedy rule (indexed by [`rule_index`]).
+pub(crate) type RuleCache = [Vec<TEvent>; 2];
+
+/// Index of `rule` into per-rule caches.
+#[inline]
+pub(crate) fn rule_index(rule: GreedyRule) -> usize {
+    match rule {
+        GreedyRule::UnitCost => 0,
+        GreedyRule::CostBenefit => 1,
+    }
 }
 
 /// The backing store of a shard stream.
-enum StreamState {
+enum StreamState<'c> {
     /// A CELF max-heap: entries go stale and are re-keyed via the staleness
     /// stamps.
     Heap(BinaryHeap<Entry>),
     /// The singleton pool's stream: a cursor over entries pre-sorted in pop
     /// order (descending [`Entry`] order — max key, ties to the smaller id).
     ///
-    /// A pool photo shares no stored similarity pair with any other photo
-    /// (it forms a singleton interaction component), so its marginal gain
-    /// reads only its own coverage, which no other photo's accept can raise
-    /// — every other photo's similarity to it is unstored, hence zero. Its
-    /// seed key is therefore **exact forever**: no staleness check, no
-    /// recomputation, and a sorted cursor pops in exactly the heap's order
-    /// with sequential memory access instead of `O(log n)` sift-downs
-    /// through a pool-sized heap.
+    /// A pool photo shares no stored similarity pair with any other photo,
+    /// so its marginal gain reads only its own coverage, which no other
+    /// photo's accept can raise. Its seed key is therefore **exact
+    /// forever**: no staleness check, no recomputation, and a sorted cursor
+    /// pops in exactly the heap's order.
     Frozen { entries: Vec<Entry>, cursor: usize },
+    /// A recorded transcript being replayed; turns into a heap on
+    /// divergence.
+    Replay { events: &'c [TEvent], cursor: usize },
 }
 
-impl ShardStream {
-    /// Advances until the top entry is current (its cached stamp matches;
-    /// frozen entries are always current) and affordable, parking it as the
-    /// candidate. Photos popped while unaffordable are dropped permanently —
-    /// the remaining budget only shrinks, exactly the global loop's drop
-    /// rule.
+/// One shard's lazy stream and its parked settled top.
+///
+/// Instead of the global CELF's single epoch (every accept invalidates every
+/// cached entry), each photo carries a version counter bumped when an accept
+/// changes any coverage its gain reads. A cached entry stores its photo's
+/// version at compute time; the entry is exactly current while the version
+/// is unchanged, so popping it skips the recomputation the global loop
+/// would have paid, with a bit-identical key.
+struct Stream<'c> {
+    state: StreamState<'c>,
+    /// The settled top: current and affordable at settle time. `None` once
+    /// the stream is drained.
+    candidate: Option<Entry>,
+    /// The recorded `accepted` flag of a parked replay candidate; `None`
+    /// when the candidate came from a heap or the pool.
+    pending: Option<bool>,
+    /// Events observed this run — the next epoch's transcript.
+    rec: Vec<TEvent>,
+    pq_pops: u64,
+    went_live: bool,
+}
+
+/// What a stream reads besides the evaluator and the staleness versions.
+struct RunCtx<'r> {
+    inst: &'r Instance,
+    dec: &'r Decomposition,
+    budget: u64,
+    rule: GreedyRule,
+    /// Whether streams record transcripts.
+    record: bool,
+}
+
+impl Stream<'_> {
+    /// Advances until a candidate is parked or the stream drains: heaps
+    /// settle on a current (stamp-validated), affordable top; replays verify
+    /// each recorded event (divergence falls through to
+    /// [`go_live`](Self::go_live)). Photos popped while unaffordable are
+    /// dropped permanently — the remaining budget only shrinks, exactly the
+    /// global loop's drop rule.
     // phocus-lint: hot-kernel — CELF stream advance; runs once per merge-heap pop
-    fn settle(
-        &mut self,
-        inst: &Instance,
-        ev: &Evaluator<'_>,
-        ver: &[u32],
-        budget: u64,
-        rule: GreedyRule,
-    ) {
+    fn settle(&mut self, cx: &RunCtx<'_>, s: usize, ev: &Evaluator<'_>, ver: &[u32]) {
         debug_assert!(self.candidate.is_none());
-        match &mut self.state {
-            StreamState::Heap(heap) => {
-                while let Some(top) = heap.pop() {
-                    self.pq_pops += 1;
-                    let p = top.photo;
-                    if ev.is_selected(p) {
-                        continue;
+        loop {
+            match &mut self.state {
+                StreamState::Heap(heap) => {
+                    while let Some(top) = heap.pop() {
+                        self.pq_pops += 1;
+                        let p = top.photo;
+                        if ev.is_selected(p) {
+                            continue;
+                        }
+                        if !ev.fits(p, cx.budget) {
+                            if cx.record {
+                                self.rec.push(TEvent::Drop(p));
+                            }
+                            continue;
+                        }
+                        let stamp = ver[p.index()];
+                        if top.epoch == stamp {
+                            self.candidate = Some(top);
+                            return;
+                        }
+                        let delta = ev.gain(p);
+                        heap.push(Entry {
+                            key: cx.rule.key(delta, cx.inst.cost(p)),
+                            photo: p,
+                            epoch: stamp,
+                        });
                     }
-                    if !ev.fits(p, budget) {
-                        continue;
-                    }
-                    let stamp = ver[p.index()];
-                    if top.epoch == stamp {
+                    return;
+                }
+                StreamState::Frozen { entries, cursor } => {
+                    while let Some(&top) = entries.get(*cursor) {
+                        *cursor += 1;
+                        self.pq_pops += 1;
+                        if ev.is_selected(top.photo) || !ev.fits(top.photo, cx.budget) {
+                            continue;
+                        }
                         self.candidate = Some(top);
                         return;
                     }
-                    let delta = ev.gain(p);
-                    heap.push(Entry {
-                        key: rule.key(delta, inst.cost(p)),
-                        photo: p,
-                        epoch: stamp,
-                    });
-                }
-            }
-            StreamState::Frozen { entries, cursor } => {
-                while let Some(&top) = entries.get(*cursor) {
-                    *cursor += 1;
-                    self.pq_pops += 1;
-                    if ev.is_selected(top.photo) {
-                        continue;
-                    }
-                    if !ev.fits(top.photo, budget) {
-                        continue;
-                    }
-                    self.candidate = Some(top);
                     return;
                 }
+                StreamState::Replay { events, cursor } => {
+                    let mut diverged = false;
+                    while let Some(&e) = events.get(*cursor) {
+                        self.pq_pops += 1;
+                        match e {
+                            TEvent::Drop(p) => {
+                                if ev.is_selected(p) {
+                                    *cursor += 1;
+                                    continue;
+                                }
+                                if !ev.fits(p, cx.budget) {
+                                    *cursor += 1;
+                                    self.rec.push(TEvent::Drop(p));
+                                    continue;
+                                }
+                                // The recorded run dropped a photo that fits
+                                // this time: the transcript under-covers it.
+                                diverged = true;
+                                break;
+                            }
+                            TEvent::Cand {
+                                photo,
+                                key,
+                                accepted,
+                            } => {
+                                debug_assert!(!ev.is_selected(photo));
+                                *cursor += 1;
+                                self.candidate = Some(Entry {
+                                    key,
+                                    photo,
+                                    epoch: 0,
+                                });
+                                self.pending = Some(accepted);
+                                return;
+                            }
+                        }
+                    }
+                    if !diverged {
+                        return; // drained
+                    }
+                }
+            }
+            self.go_live(cx, s, ev, ver);
+        }
+    }
+
+    /// Abandons replay: rebuilds an exact heap over the shard's unselected,
+    /// still-affordable photos with freshly computed gains, stamped at the
+    /// current staleness versions — precisely the settled state the lazy
+    /// heap represents, so the coordinator's view is unchanged.
+    fn go_live(&mut self, cx: &RunCtx<'_>, s: usize, ev: &Evaluator<'_>, ver: &[u32]) {
+        let mut ids: Vec<PhotoId> = Vec::new();
+        for &p in &cx.dec.shards[s].photos {
+            if ev.is_selected(p) {
+                continue;
+            }
+            if ev.fits(p, cx.budget) {
+                ids.push(p);
+            } else {
+                // The rebuild excludes photos that no longer fit — exactly
+                // the photos a lazy heap would pop and drop later. Record
+                // those drops so the next transcript still covers them.
+                self.rec.push(TEvent::Drop(p));
             }
         }
+        let gains = ev.batch_gains(&ids);
+        let entries: Vec<Entry> = ids
+            .iter()
+            .zip(&gains)
+            .map(|(&p, &g)| Entry {
+                key: cx.rule.key(g, cx.inst.cost(p)),
+                photo: p,
+                epoch: ver[p.index()],
+            })
+            .collect(); // phocus-lint: allow(alloc-hot) — go-live divergence fallback, once per demoted stream
+        self.state = StreamState::Heap(BinaryHeap::from(entries));
+        self.pending = None;
+        self.went_live = true;
     }
 }
 
 /// A coordinator heap entry: a shard's settled top, keyed for the merged
 /// argmax with the same ordering as the global CELF heap (max key, ties to
-/// the smaller photo id). Shared with the epoch-replay coordinator in
-/// [`crate::incremental`].
-pub(crate) struct MergeEntry {
-    pub(crate) key: f64,
-    pub(crate) photo: PhotoId,
-    pub(crate) shard: u32,
+/// the smaller photo id).
+struct MergeEntry {
+    key: f64,
+    photo: PhotoId,
+    shard: u32,
 }
 
 impl PartialEq for MergeEntry {
@@ -238,9 +376,23 @@ impl Ord for MergeEntry {
     }
 }
 
-/// A reusable component-sharded solver: decomposes the instance, replays
-/// `S₀`, and runs the rule-independent seed sweep **once**, then solves any
-/// number of times (e.g. under both greedy rules, as
+/// One rule's run: the outcome plus the replay instrumentation and, when
+/// replaying, the transcripts observed while producing it.
+pub(crate) struct EngineRun {
+    pub(crate) outcome: GreedyOutcome,
+    /// Per-shard transcripts (empty vectors unless recording).
+    pub(crate) rec: Vec<Vec<TEvent>>,
+    /// Streams that began the run replaying a transcript.
+    pub(crate) replayed: usize,
+    /// Non-pool streams that began the run as live heaps.
+    pub(crate) live: usize,
+    /// Replay streams that diverged and rebuilt a live heap.
+    pub(crate) went_live: usize,
+}
+
+/// The prepared CELF plan: the component labeling, the `S₀` replay, and the
+/// rule-independent seed sweep, computed **once**; then any number of solves
+/// (e.g. under both greedy rules, as
 /// [`main_algorithm_sharded`](crate::main_algorithm_sharded) does).
 #[derive(Debug)]
 pub struct ShardedSolver<'a> {
@@ -252,103 +404,121 @@ pub struct ShardedSolver<'a> {
     /// Instrumentation already spent building `base` (subtracted from each
     /// solve's reported stats so they count per-solve work only).
     base_stats: EvalStats,
-    /// Epoch-0 marginal gains of every unselected affordable photo at the
-    /// post-`S₀` state, pre-partitioned by shard with ascending photo id
-    /// within each shard. Rule-independent: each solve derives its heap keys
-    /// as `rule.key(δ, cost)`, bit-identical to the global seeding.
-    seed_by_shard: Vec<Vec<(PhotoId, f64)>>,
+    /// Epoch-0 marginal gain of every swept photo at the post-`S₀` state, by
+    /// photo id (zero for `S₀` and for photos of replaying shards).
+    /// Rule-independent: each solve derives its heap keys as
+    /// `rule.key(δ, cost)`, bit-identical to the global seeding.
+    seed: Vec<f64>,
     /// The singleton pool's seed entries pre-sorted in pop order, one vector
-    /// per greedy rule (indexed by [`rule_index`]). Pool keys are frozen —
-    /// see [`StreamState::Frozen`] — so a cold solve memcpys the right
-    /// vector instead of re-keying and heapifying the (often largest) shard.
-    pool_sorted: Option<[Vec<Entry>; 2]>,
-}
-
-/// Index of `rule` into per-rule caches ([`ShardedSolver::pool_sorted`],
-/// the epoch layer's transcript caches).
-#[inline]
-pub(crate) fn rule_index(rule: GreedyRule) -> usize {
-    match rule {
-        GreedyRule::UnitCost => 0,
-        GreedyRule::CostBenefit => 1,
-    }
+    /// per greedy rule (indexed by [`rule_index`]; empty without a pool).
+    /// Pool keys are frozen, so a cold solve copies the right vector instead
+    /// of re-keying and sorting the (often largest) shard.
+    pool_sorted: [Vec<Entry>; 2],
 }
 
 impl<'a> ShardedSolver<'a> {
-    /// Decomposes `inst` into photo–query components and prepares the shared
+    /// Labels `inst`'s photo–query components and prepares the shared
     /// post-`S₀` state: the evaluator arena and the seed-gain sweep (one
     /// parallel batch through `par-exec`).
     pub fn new(inst: &'a Instance) -> Self {
-        Self::build(inst, &mut EvalArena::new())
+        Self::prepare(
+            inst,
+            decompose(inst),
+            &mut SolveScratch::new(),
+            &[],
+            &mut [],
+        )
     }
 
-    /// [`new`](Self::new) drawing the base evaluator's buffers from
-    /// `scratch`. Bit-identical preparation; pair with
-    /// [`recycle`](Self::recycle) to return the buffers afterwards.
-    pub fn new_in(inst: &'a Instance, scratch: &mut SolveScratch) -> Self {
-        Self::build(inst, &mut scratch.base_eval)
-    }
-
-    /// [`new_in`](Self::new_in) with the component labeling precomputed —
-    /// resident labels from the epoch layer or labels bulk-read from a
-    /// `phocus-pack` file skip the union-find pass of [`decompose`]. The
-    /// labels must equal `shard_labels(inst)` (the pack writer derives them
-    /// exactly so); everything downstream is bit-identical to
-    /// [`new`](Self::new).
+    /// [`new`](Self::new) with the component labeling precomputed — labels
+    /// bulk-read from a `phocus-pack` file skip the union-find pass — and the
+    /// base evaluator's buffers drawn from `scratch` (pair with
+    /// [`recycle`](Self::recycle) to return them). The labels must equal
+    /// `shard_labels(inst)` (the pack writer derives them exactly so);
+    /// everything downstream is bit-identical to [`new`](Self::new).
     pub fn new_in_with_labels(
         inst: &'a Instance,
         labels: ShardLabels,
         scratch: &mut SolveScratch,
     ) -> Self {
-        Self::build_with(inst, decompose_with_labels(inst, labels), &mut scratch.base_eval)
+        Self::prepare(
+            inst,
+            Decomposition::from_labels(labels),
+            scratch,
+            &[],
+            &mut [],
+        )
     }
 
-    fn build(inst: &'a Instance, arena: &mut EvalArena) -> Self {
-        Self::build_with(inst, decompose(inst), arena)
-    }
-
-    fn build_with(inst: &'a Instance, dec: Decomposition, arena: &mut EvalArena) -> Self {
-        let mut base = Evaluator::new_in(inst, arena);
+    /// Builds the plan, drawing the base evaluator's buffers from `scratch`.
+    /// The seed sweep covers every photo outside `S₀`
+    /// except those of shards with a transcript in `replaying` (a replay
+    /// stream needs no seeds) and pool photos whose state-independent gain
+    /// `pool_gain` already caches; freshly swept pool gains are written back
+    /// to `pool_gain` when it is non-empty. Affordability is applied at
+    /// stream-build time against each solve's budget, so one plan serves a
+    /// whole budget sweep and transcripts stay valid across budget changes.
+    pub(crate) fn prepare(
+        inst: &'a Instance,
+        dec: Decomposition,
+        scratch: &mut SolveScratch,
+        replaying: &[Option<RuleCache>],
+        pool_gain: &mut [Option<f64>],
+    ) -> Self {
+        let mut base = Evaluator::new_in(inst, &mut scratch.base_eval);
         for &p in inst.required() {
             base.add(p);
         }
-        // The seed sweep covers *every* unselected photo, not just the ones
-        // affordable under the instance budget: affordability is applied at
-        // stream-build time against the budget of each individual solve, so
-        // one prepared solver serves a whole budget sweep
-        // ([`solve_with_budget`](Self::solve_with_budget)) and the epoch
-        // layer's replay caches stay valid across budget changes.
-        let candidates: Vec<PhotoId> = (0..inst.num_photos() as u32)
-            .map(PhotoId)
-            .filter(|&p| !base.is_selected(p))
-            .collect(); // phocus-lint: allow(alloc-hot) — stream construction, once per run, not the pop loop
-        let gains = base.batch_gains(&candidates);
-        // phocus-lint: allow(alloc-hot) — stream construction, once per run
-        let mut seed_by_shard: Vec<Vec<(PhotoId, f64)>> = vec![Vec::new(); dec.num_shards()];
-        for (&p, &delta) in candidates.iter().zip(&gains) {
-            seed_by_shard[dec.shard_of(p)].push((p, delta));
+        let n = inst.num_photos();
+        let pool = dec.singleton_pool();
+        // phocus-lint: allow(alloc-hot) — plan construction, once per prepare; the hot-kernel edge is the name-resolved `Vec::new` in go_live
+        let mut seed = vec![0.0f64; n];
+        let mut sweep: Vec<PhotoId> = Vec::new();
+        for p in (0..n as u32).map(PhotoId) {
+            if base.is_selected(p) {
+                continue;
+            }
+            let s = dec.shard_of(p);
+            if Some(s) == pool {
+                if let Some(g) = pool_gain.get(p.index()).copied().flatten() {
+                    seed[p.index()] = g;
+                    continue;
+                }
+            } else if replaying.get(s).is_some_and(Option::is_some) {
+                continue;
+            }
+            sweep.push(p);
+        }
+        for (&p, g) in sweep.iter().zip(base.batch_gains(&sweep)) {
+            seed[p.index()] = g;
+            if let Some(slot) = pool_gain.get_mut(p.index()) {
+                if Some(dec.shard_of(p)) == pool {
+                    *slot = Some(g);
+                }
+            }
         }
         let base_stats = base.stats();
-        let pool_sorted = dec.singleton_pool().map(|pool| {
-            [GreedyRule::UnitCost, GreedyRule::CostBenefit].map(|rule| {
-                let mut entries: Vec<Entry> = seed_by_shard[pool]
-                    .iter()
-                    .map(|&(p, delta)| Entry {
-                        key: rule.key(delta, inst.cost(p)),
-                        photo: p,
-                        epoch: 0,
-                    })
-                    .collect(); // phocus-lint: allow(alloc-hot) — pool seed sort, once per run
-                entries.sort_unstable_by(|a, b| b.cmp(a));
-                entries
-            })
+        let pool_sorted = [GreedyRule::UnitCost, GreedyRule::CostBenefit].map(|rule| {
+            let mut entries = Vec::new();
+            if let Some(pool) = pool {
+                let keep = |p| !base.is_selected(p);
+                frozen_entries(
+                    inst,
+                    &dec.shards[pool].photos,
+                    &seed,
+                    rule,
+                    keep,
+                    &mut entries,
+                );
+            }
+            entries
         });
         ShardedSolver {
             inst,
             dec,
             base,
             base_stats,
-            seed_by_shard,
+            seed,
             pool_sorted,
         }
     }
@@ -358,63 +528,81 @@ impl<'a> ShardedSolver<'a> {
         &self.dec
     }
 
-    /// Sharded equivalent of [`lazy_greedy`](crate::lazy_greedy).
+    /// Gain evaluations spent preparing the plan (the `S₀` replay and the
+    /// seed sweep).
+    pub(crate) fn prepare_gain_evals(&self) -> u64 {
+        self.base_stats.gain_evals
+    }
+
+    /// The plan's equivalent of [`lazy_greedy`](crate::lazy_greedy):
+    /// [`solve_scratch`](Self::solve_scratch) on a fresh scratch.
     pub fn solve(&self, rule: GreedyRule) -> GreedyOutcome {
-        self.solve_inner(None, rule, None, self.inst.budget())
-    }
-
-    /// [`solve`](Self::solve) under an arbitrary budget `B'` instead of the
-    /// instance's own: bit-identical to solving `inst.with_budget(B')` from
-    /// scratch, but reusing this solver's decomposition, `S₀` replay and
-    /// seed sweep (all budget-independent). This is what lets a sorted
-    /// budget sweep — [`quality_curve`](crate::quality_curve) — prepare the
-    /// sharded decomposition once.
-    pub fn solve_with_budget(&self, rule: GreedyRule, budget: u64) -> GreedyOutcome {
-        self.solve_inner(None, rule, None, budget)
-    }
-
-    /// Sharded equivalent of [`lazy_greedy_from`](crate::lazy_greedy_from):
-    /// resumes from an arbitrary initial selection. The cached seed gains do
-    /// not apply to a warm start (they were computed at the post-`S₀` state),
-    /// so this path pays its own seed sweep, like the global solver.
-    pub fn solve_from(&self, initial: &[PhotoId], rule: GreedyRule) -> GreedyOutcome {
-        self.solve_inner(Some(initial), rule, None, self.inst.budget())
+        self.solve_scratch(rule, &mut SolveScratch::new())
     }
 
     /// [`solve`](Self::solve) drawing every per-solve allocation (evaluator
     /// clone, stream entry buffers, staleness stamps, change list) from
     /// `scratch`, and returning the capacity there afterwards. Bit-identical
-    /// to `solve` — see [`SolveScratch`].
+    /// whatever the scratch held before — see [`SolveScratch`].
     pub fn solve_scratch(&self, rule: GreedyRule, scratch: &mut SolveScratch) -> GreedyOutcome {
-        self.solve_inner(None, rule, Some(scratch), self.inst.budget())
+        self.run(rule, self.inst.budget(), None, scratch, None)
+            .outcome
+    }
+
+    /// [`solve`](Self::solve) under an arbitrary budget `B'` instead of the
+    /// instance's own: bit-identical to solving `inst.with_budget(B')` from
+    /// scratch, but reusing this plan's labeling, `S₀` replay and seed sweep
+    /// (all budget-independent). This is what lets a sorted budget sweep —
+    /// [`quality_curve`](crate::quality_curve) — prepare once.
+    pub fn solve_with_budget(&self, rule: GreedyRule, budget: u64) -> GreedyOutcome {
+        self.run(rule, budget, None, &mut SolveScratch::new(), None)
+            .outcome
+    }
+
+    /// The plan's equivalent of [`lazy_greedy_from`](crate::lazy_greedy_from):
+    /// resumes from an arbitrary initial selection. The cached seed gains do
+    /// not apply to a warm start (they were computed at the post-`S₀`
+    /// state), so this path pays its own seed sweep, like the global solver.
+    pub fn solve_from(&self, initial: &[PhotoId], rule: GreedyRule) -> GreedyOutcome {
+        let scratch = &mut SolveScratch::new();
+        self.run(rule, self.inst.budget(), Some(initial), scratch, None)
+            .outcome
+    }
+
+    /// Algorithm 1 on the plan: both rules through
+    /// [`solve_scratch`](Self::solve_scratch), the better outcome winning.
+    pub fn main_algorithm(&self, scratch: &mut SolveScratch) -> MainOutcome {
+        let uc = self.solve_scratch(GreedyRule::UnitCost, scratch);
+        let cb = self.solve_scratch(GreedyRule::CostBenefit, scratch);
+        pick_winner(uc, cb)
     }
 
     /// Returns the prepared base evaluator's buffers to `scratch` for the
-    /// next tenant. Call after the last solve against this solver.
+    /// next instance. Call after the last solve against this plan.
     pub fn recycle(self, scratch: &mut SolveScratch) {
         self.base.recycle(&mut scratch.base_eval);
     }
 
-    fn solve_inner(
+    /// The coordinator: one rule's run over every shard stream. With
+    /// `transcripts`, shards holding one replay it and every non-pool stream
+    /// records its events into [`EngineRun::rec`].
+    pub(crate) fn run(
         &self,
-        initial: Option<&[PhotoId]>,
         rule: GreedyRule,
-        mut scratch: Option<&mut SolveScratch>,
         budget: u64,
-    ) -> GreedyOutcome {
+        initial: Option<&[PhotoId]>,
+        scratch: &mut SolveScratch,
+        transcripts: Option<&[Option<RuleCache>]>,
+    ) -> EngineRun {
         let start = Instant::now(); // phocus-lint: allow(wall-clock) — fills the reported timing field only
         let inst = self.inst;
         let dec = &self.dec;
-        let mut ev = match scratch.as_deref_mut() {
-            Some(sc) => self.base.clone_in(&mut sc.solve_eval),
-            None => self.base.clone(),
-        };
+        let pool = dec.singleton_pool();
+        let mut ev = self.base.clone_in(&mut scratch.solve_eval);
 
-        // The per-shard seed gains: the prepared sweep for a cold solve, or
-        // a fresh sweep at the warm-started state. Either way the entries
-        // within a shard are in ascending photo id, mirroring the global
-        // seeding scan order.
-        let warm_seeds: Option<Vec<Vec<(PhotoId, f64)>>> = initial.map(|init| {
+        // The seed gains: the prepared sweep for a cold solve, or a fresh
+        // sweep at the warm-started state.
+        let warm_seed: Option<Vec<f64>> = initial.map(|init| {
             for &p in init {
                 ev.add(p);
             }
@@ -422,104 +610,88 @@ impl<'a> ShardedSolver<'a> {
                 .map(PhotoId)
                 .filter(|&p| !ev.is_selected(p) && ev.fits(p, budget))
                 .collect();
-            let gains = ev.batch_gains(&candidates);
-            let mut by_shard = vec![Vec::new(); dec.num_shards()];
-            for (&p, &delta) in candidates.iter().zip(&gains) {
-                by_shard[dec.shard_of(p)].push((p, delta));
+            let mut seed = vec![0.0f64; inst.num_photos()];
+            for (&p, g) in candidates.iter().zip(ev.batch_gains(&candidates)) {
+                seed[p.index()] = g;
             }
-            by_shard
+            seed
         });
-        let seeds = warm_seeds.as_ref().unwrap_or(&self.seed_by_shard);
+        let seed = warm_seed.as_deref().unwrap_or(&self.seed);
 
-        // Build the per-shard streams. `make_stream` writes into a caller-
-        // provided buffer (empty on the fresh-allocation path, recycled on
-        // the scratch path) with identical entry values either way; with a
-        // scratch the shards are built serially so the recycled buffers can
-        // rotate through, without one they fan out through par-exec. Pop
-        // order is fully determined by the entry ordering, so all three
-        // paths are transcript-identical.
-        let pool = dec.singleton_pool();
-        // The prepared seeds cover every unselected photo; affordability is
-        // applied here against *this solve's* budget. At stream-build time
-        // the evaluator holds exactly the state the seeds were swept at
-        // (post-`S₀`, or the warm start), so `ev.fits` reproduces the filter
-        // the global seeding applies, for any budget.
-        let seed_ref = &ev;
-        let make_stream = |s: usize, mut buf: Vec<Entry>| -> ShardStream {
-            buf.clear();
-            if Some(s) == pool {
-                // Frozen pool stream: reuse the pre-sorted entries on the
-                // cold path; a warm start re-keys at the warm state (pool
-                // keys are frozen from the seed sweep on, whatever the
-                // initial selection) and sorts into pop order. Filtering the
-                // pre-sorted entries preserves their pop order.
-                match (&self.pool_sorted, initial.is_none()) {
-                    (Some(per_rule), true) => {
-                        buf.extend(
-                            per_rule[rule_index(rule)]
-                                .iter()
-                                .filter(|e| seed_ref.fits(e.photo, budget))
-                                .copied(),
-                        );
-                    }
-                    _ => {
-                        buf.extend(seeds[s].iter().filter_map(|&(p, delta)| {
-                            seed_ref.fits(p, budget).then_some(Entry {
-                                key: rule.key(delta, inst.cost(p)),
-                                photo: p,
-                                epoch: 0,
-                            })
-                        }));
-                        buf.sort_unstable_by(|a, b| b.cmp(a));
-                    }
+        // Build the streams over photos affordable at the seeded state, with
+        // entry buffers recycled from the scratch. Pop order is fully
+        // determined by the entry ordering, so buffer history is invisible.
+        let (mut replayed, mut live) = (0usize, 0usize);
+        let mut streams: Vec<Stream<'_>> = Vec::with_capacity(dec.num_shards());
+        for (s, shard) in dec.shards.iter().enumerate() {
+            let replay = transcripts.and_then(|t| t.get(s)).and_then(Option::as_ref);
+            let state = if Some(s) == pool {
+                let mut buf = scratch.entries.pop().unwrap_or_default();
+                buf.clear();
+                if initial.is_none() {
+                    // Filtering the pre-sorted entries preserves their pop
+                    // order.
+                    let sorted = &self.pool_sorted[rule_index(rule)];
+                    buf.extend(sorted.iter().filter(|e| ev.fits(e.photo, budget)));
+                } else {
+                    let keep = |p| !ev.is_selected(p) && ev.fits(p, budget);
+                    frozen_entries(inst, &shard.photos, seed, rule, keep, &mut buf);
                 }
-                return ShardStream {
-                    state: StreamState::Frozen {
-                        entries: buf,
-                        cursor: 0,
-                    },
-                    candidate: None,
-                    pq_pops: 0,
-                };
-            }
-            buf.extend(seeds[s].iter().filter_map(|&(p, delta)| {
-                seed_ref.fits(p, budget).then_some(Entry {
-                    key: rule.key(delta, inst.cost(p)),
-                    photo: p,
-                    epoch: 0,
-                })
-            }));
-            ShardStream {
-                state: StreamState::Heap(BinaryHeap::from(buf)),
+                StreamState::Frozen {
+                    entries: buf,
+                    cursor: 0,
+                }
+            } else if let Some(per_rule) = replay {
+                replayed += 1;
+                StreamState::Replay {
+                    events: &per_rule[rule_index(rule)],
+                    cursor: 0,
+                }
+            } else {
+                live += 1;
+                let mut buf = scratch.entries.pop().unwrap_or_default();
+                buf.clear();
+                buf.extend(
+                    shard
+                        .photos
+                        .iter()
+                        .filter(|&&p| !ev.is_selected(p) && ev.fits(p, budget))
+                        .map(|&p| Entry {
+                            key: rule.key(seed[p.index()], inst.cost(p)),
+                            photo: p,
+                            epoch: 0,
+                        }),
+                );
+                StreamState::Heap(BinaryHeap::from(buf))
+            };
+            streams.push(Stream {
+                state,
                 candidate: None,
+                pending: None,
+                rec: Vec::new(),
                 pq_pops: 0,
-            }
-        };
-        let mut streams: Vec<ShardStream> = match scratch.as_deref_mut() {
-            Some(sc) => (0..dec.num_shards())
-                .map(|s| make_stream(s, sc.entries.pop().unwrap_or_default()))
-                .collect(),
-            None => par_exec::par_map_indexed(dec.num_shards(), |s| make_stream(s, Vec::new())),
-        };
+                went_live: false,
+            });
+        }
 
         // Per-photo staleness versions; all zero, matching the epoch-0 seed
         // entries.
-        let (mut ver, mut changed) = match scratch.as_deref_mut() {
-            Some(sc) => {
-                let mut ver = std::mem::take(&mut sc.ver);
-                ver.clear();
-                ver.resize(inst.num_photos(), 0);
-                let mut changed = std::mem::take(&mut sc.changed);
-                changed.clear();
-                (ver, changed)
-            }
-            None => (vec![0u32; inst.num_photos()], Vec::new()),
+        let mut ver = std::mem::take(&mut scratch.ver);
+        ver.clear();
+        ver.resize(inst.num_photos(), 0);
+        let mut changed = std::mem::take(&mut scratch.changed);
+        let cx = RunCtx {
+            inst,
+            dec,
+            budget,
+            rule,
+            record: transcripts.is_some(),
         };
 
         // The merged frontier: at most one settled candidate per shard.
         let mut merge: BinaryHeap<MergeEntry> = BinaryHeap::new();
         for (s, stream) in streams.iter_mut().enumerate() {
-            stream.settle(inst, &ev, &ver, budget, rule);
+            stream.settle(&cx, s, &ev, &ver);
             if let Some(c) = &stream.candidate {
                 merge.push(MergeEntry {
                     key: c.key,
@@ -534,26 +706,53 @@ impl<'a> ShardedSolver<'a> {
         while let Some(top) = merge.pop() {
             merge_pops += 1;
             let s = top.shard as usize;
-            streams[s].candidate = None;
-            if ev.fits(top.photo, budget) {
+            let stream = &mut streams[s];
+            stream.candidate = None;
+            let fit = ev.fits(top.photo, budget);
+            if fit {
                 lazy_accepts += 1;
-                if Some(s) == pool {
-                    // A pool accept raises only its own coverage (no stored
-                    // pair links it to anyone), and the frozen pool stream
-                    // never reads stamps: no propagation to do.
+            }
+            if Some(s) == pool {
+                // A pool accept raises only its own coverage (no stored pair
+                // links it to anyone), and the frozen pool stream never
+                // reads stamps: no propagation to do.
+                if fit {
                     ev.add(top.photo);
-                } else {
+                }
+            } else {
+                if cx.record {
+                    stream.rec.push(TEvent::Cand {
+                        photo: top.photo,
+                        key: top.key,
+                        accepted: fit,
+                    });
+                }
+                match stream.pending.take() {
+                    // Replay accepts are plain adds: coverage changes stay
+                    // inside this shard, and a replaying stream reads no
+                    // staleness stamps.
+                    Some(recorded) => {
+                        if fit {
+                            ev.add(top.photo);
+                        }
+                        if fit != recorded {
+                            stream.go_live(&cx, s, &ev, &ver);
+                        }
+                    }
                     // Accept, then bump the version of every photo whose
                     // gain read-set the add touched.
-                    changed.clear();
-                    ev.add_tracked(top.photo, |q, j| changed.push((q, j)));
-                    propagate_changes(inst, &changed, &mut ver);
+                    None if fit => {
+                        changed.clear();
+                        ev.add_tracked(top.photo, |q, j| changed.push((q, j)));
+                        propagate_changes(inst, &changed, &mut ver);
+                    }
+                    // Parked before the budget tightened; global CELF drops
+                    // such photos at pop time, and they can never fit again.
+                    None => {}
                 }
             }
-            // Otherwise: parked before the budget tightened; global CELF
-            // drops such photos at pop time, and they can never fit again.
-            streams[s].settle(inst, &ev, &ver, budget, rule);
-            if let Some(c) = &streams[s].candidate {
+            stream.settle(&cx, s, &ev, &ver);
+            if let Some(c) = &stream.candidate {
                 merge.push(MergeEntry {
                     key: c.key,
                     photo: c.photo,
@@ -564,6 +763,7 @@ impl<'a> ShardedSolver<'a> {
 
         let st = ev.stats();
         let pq_pops = merge_pops + streams.iter().map(|s| s.pq_pops).sum::<u64>();
+        let went_live = streams.iter().filter(|s| s.went_live).count();
         let outcome = GreedyOutcome {
             score: ev.score(),
             cost: ev.cost(),
@@ -578,20 +778,46 @@ impl<'a> ShardedSolver<'a> {
                 elapsed: start.elapsed(),
             },
         };
-        if let Some(sc) = scratch {
-            ev.recycle(&mut sc.solve_eval);
-            sc.ver = ver;
-            sc.changed = changed;
-            for stream in streams {
-                let buf = match stream.state {
-                    StreamState::Heap(heap) => heap.into_vec(),
-                    StreamState::Frozen { entries, .. } => entries,
-                };
-                sc.entries.push(buf);
+        ev.recycle(&mut scratch.solve_eval);
+        scratch.ver = ver;
+        scratch.changed = changed;
+        let mut rec = Vec::new();
+        for stream in streams {
+            if cx.record {
+                rec.push(stream.rec);
+            }
+            match stream.state {
+                StreamState::Heap(heap) => scratch.entries.push(heap.into_vec()),
+                StreamState::Frozen { entries, .. } => scratch.entries.push(entries),
+                StreamState::Replay { .. } => {}
             }
         }
-        outcome
+        EngineRun {
+            outcome,
+            rec,
+            replayed,
+            live,
+            went_live,
+        }
     }
+}
+
+/// Appends the frozen pool entries of `photos` passing `keep`, keyed from
+/// `seed`, to `out` in pop order.
+fn frozen_entries(
+    inst: &Instance,
+    photos: &[PhotoId],
+    seed: &[f64],
+    rule: GreedyRule,
+    keep: impl Fn(PhotoId) -> bool,
+    out: &mut Vec<Entry>,
+) {
+    out.extend(photos.iter().filter(|&&p| keep(p)).map(|&p| Entry {
+        key: rule.key(seed[p.index()], inst.cost(p)),
+        photo: p,
+        epoch: 0,
+    }));
+    out.sort_unstable_by(|a, b| b.cmp(a));
 }
 
 /// Bumps the staleness version of every photo whose gain read-set an accept
@@ -603,10 +829,8 @@ impl<'a> ShardedSolver<'a> {
 /// neighbors' coverage — or, when those rows are longer than the context
 /// (or the context is dense/unit, where one change dirties every member),
 /// bump every member once. Both mark a superset of the affected photos, so
-/// invalidation never costs more than O(|q|) per changed context. Shared by
-/// the prepared solver and the epoch-replay coordinator in
-/// [`crate::incremental`].
-pub(crate) fn propagate_changes(inst: &Instance, changed: &[(SubsetId, u32)], ver: &mut [u32]) {
+/// invalidation never costs more than O(|q|) per changed context.
+fn propagate_changes(inst: &Instance, changed: &[(SubsetId, u32)], ver: &mut [u32]) {
     let mut i = 0;
     while i < changed.len() {
         let q = changed[i].0;
@@ -647,34 +871,16 @@ pub(crate) fn propagate_changes(inst: &Instance, changed: &[(SubsetId, u32)], ve
     }
 }
 
-/// Runs the component-sharded CELF on `inst` with its budget. Bit-identical
-/// transcript to [`lazy_greedy`](crate::lazy_greedy), faster on instances
-/// with more than one component.
-pub fn sharded_lazy_greedy(inst: &Instance, rule: GreedyRule) -> GreedyOutcome {
-    ShardedSolver::new(inst).solve(rule)
-}
-
-/// [`sharded_lazy_greedy`] resuming from an arbitrary initial selection;
-/// bit-identical to [`lazy_greedy_from`](crate::lazy_greedy_from).
-pub fn sharded_lazy_greedy_from(
-    inst: &Instance,
-    initial: &[PhotoId],
-    rule: GreedyRule,
-) -> GreedyOutcome {
-    ShardedSolver::new(inst).solve_from(initial, rule)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lazy_greedy;
-    use crate::lazy_greedy_from;
     use par_core::fixtures::{figure1_instance, random_instance, RandomInstanceConfig, MB};
 
     fn assert_transcripts_match(inst: &Instance) {
         for rule in [GreedyRule::UnitCost, GreedyRule::CostBenefit] {
             let global = lazy_greedy(inst, rule);
-            let sharded = sharded_lazy_greedy(inst, rule);
+            let sharded = ShardedSolver::new(inst).solve(rule);
             assert_eq!(sharded.selected, global.selected, "selection diverged ({rule:?})");
             assert_eq!(
                 sharded.score.to_bits(),
@@ -720,24 +926,10 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_matches_lazy_greedy_from() {
-        let inst = random_instance(11, &RandomInstanceConfig::default()).sparsify(0.8);
-        // Warm-start from the first few CB picks (a superset of S₀).
-        let warm = lazy_greedy(&inst, GreedyRule::CostBenefit);
-        let initial: Vec<PhotoId> = warm.selected.iter().copied().take(4).collect();
-        for rule in [GreedyRule::UnitCost, GreedyRule::CostBenefit] {
-            let global = lazy_greedy_from(&inst, &initial, rule);
-            let sharded = sharded_lazy_greedy_from(&inst, &initial, rule);
-            assert_eq!(sharded.selected, global.selected);
-            assert_eq!(sharded.score.to_bits(), global.score.to_bits());
-        }
-    }
-
-    #[test]
     fn scratch_solve_is_bit_identical_across_reused_tenants() {
         // One scratch, several differently shaped "tenants" in sequence:
         // each prepare + solve through the dirty scratch must match the
-        // fresh-allocation path bit for bit.
+        // fresh-scratch path bit for bit, work counters included.
         let mut scratch = SolveScratch::new();
         let tenants = [
             random_instance(3, &RandomInstanceConfig::default()),
@@ -755,9 +947,9 @@ mod tests {
         ];
         for inst in &tenants {
             for rule in [GreedyRule::UnitCost, GreedyRule::CostBenefit] {
-                let fresh_solver = ShardedSolver::new(inst);
-                let fresh = fresh_solver.solve(rule);
-                let solver = ShardedSolver::new_in(inst, &mut scratch);
+                let fresh = ShardedSolver::new(inst).solve(rule);
+                let labels = par_core::shard_labels(inst);
+                let solver = ShardedSolver::new_in_with_labels(inst, labels, &mut scratch);
                 let reused = solver.solve_scratch(rule, &mut scratch);
                 solver.recycle(&mut scratch);
                 assert_eq!(reused.selected, fresh.selected, "selection ({rule:?})");
@@ -771,41 +963,6 @@ mod tests {
             !scratch.entries.is_empty(),
             "solve_scratch must return entry buffers for reuse"
         );
-    }
-
-    #[test]
-    fn main_algorithm_scratch_matches_sharded() {
-        let mut scratch = SolveScratch::new();
-        for seed in 0..3 {
-            let inst = random_instance(seed, &RandomInstanceConfig::default()).sparsify(0.85);
-            let fresh = crate::main_algorithm_sharded(&inst);
-            let reused = crate::main_algorithm_scratch(&inst, &mut scratch);
-            assert_eq!(reused.best.selected, fresh.best.selected);
-            assert_eq!(reused.best.score.to_bits(), fresh.best.score.to_bits());
-            assert_eq!(reused.winner, fresh.winner);
-        }
-    }
-
-    #[test]
-    fn solve_with_budget_matches_rebuilt_solver() {
-        // One prepared solver swept over many budgets must match a solver
-        // prepared per budget (and hence, transitively, the global CELF).
-        let inst = random_instance(17, &RandomInstanceConfig::default()).sparsify(0.8);
-        let solver = ShardedSolver::new(&inst);
-        let lo = inst.required_cost();
-        let hi = inst.total_cost();
-        for step in 0..6u64 {
-            let budget = lo + (hi - lo) * step / 5;
-            let scoped = inst.with_budget(budget).unwrap();
-            let fresh_solver = ShardedSolver::new(&scoped);
-            for rule in [GreedyRule::UnitCost, GreedyRule::CostBenefit] {
-                let swept = solver.solve_with_budget(rule, budget);
-                let fresh = fresh_solver.solve(rule);
-                assert_eq!(swept.selected, fresh.selected, "budget {budget} ({rule:?})");
-                assert_eq!(swept.score.to_bits(), fresh.score.to_bits());
-                assert_eq!(swept.cost, fresh.cost);
-            }
-        }
     }
 
     #[test]

@@ -106,11 +106,12 @@ fn bench_cold_start(c: &mut Criterion) {
         let loaded = unpack_instance(&images.pack).expect("bench pack loads");
         let a = par_algo::main_algorithm_sharded(&fresh);
         let mut scratch = par_algo::SolveScratch::default();
-        let b = par_algo::main_algorithm_packed(
+        let solver = par_algo::ShardedSolver::new_in_with_labels(
             &loaded.instance,
             loaded.labels.clone(),
             &mut scratch,
         );
+        let b = solver.main_algorithm(&mut scratch);
         assert_eq!(a.best.selected, b.best.selected);
         assert_eq!(a.best.score.to_bits(), b.best.score.to_bits());
         assert_eq!(a.winner, b.winner);
@@ -148,7 +149,6 @@ fn bench_serve_batch(c: &mut Criterion) {
     let engine = FleetEngine::new(FleetEngineConfig {
         representation: representation.clone(),
         parallelism: Parallelism::serial(),
-        reuse_arenas: true,
     });
 
     // Pre-parse the universe tenants once (the serve side re-represents per

@@ -2,7 +2,7 @@
 //! search, streaming sieves, and the compression expansion.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use par_algo::{density_sieve, main_algorithm, swap_local_search, LocalSearchConfig};
+use par_algo::{density_sieve, main_algorithm_sharded, swap_local_search, LocalSearchConfig};
 use par_bench::{dataset, DatasetId, Scale};
 use par_core::{Evaluator, PhotoId};
 use phocus::{expand_with_variants, represent, ActionLadder, RepresentationConfig};
@@ -30,7 +30,7 @@ fn bench_remove(c: &mut Criterion) {
 fn bench_local_search(c: &mut Criterion) {
     let u = dataset(DatasetId::P1K, Scale::Scaled);
     let inst = represent(&u, u.total_cost() / 8, &RepresentationConfig::default()).unwrap();
-    let greedy = main_algorithm(&inst).best.selected;
+    let greedy = main_algorithm_sharded(&inst).best.selected;
     let mut group = c.benchmark_group("local_search");
     group.sample_size(10);
     group.bench_function("polish_greedy/P-1K", |b| {
@@ -57,7 +57,7 @@ fn bench_streaming(c: &mut Criterion) {
         b.iter(|| density_sieve(std::hint::black_box(&inst), 6))
     });
     group.bench_function("offline_main_algorithm/P-1K", |b| {
-        b.iter(|| main_algorithm(std::hint::black_box(&inst)))
+        b.iter(|| main_algorithm_sharded(std::hint::black_box(&inst)))
     });
     group.finish();
 }

@@ -18,16 +18,15 @@
 //! Groups:
 //!
 //! * `fleet_batch` — end-to-end serve-batch throughput through
-//!   [`FleetEngine`] with arenas on (`reuse`) and off (`fresh`), against the
-//!   `naive` baseline: the pre-engine way to serve a fleet — a loop of
-//!   single-tenant pipelines with per-pair provider dispatch in the
-//!   similarity build, fresh solver allocations, and the unconditional
-//!   online-bound certificate each solve pays. The `instances_per_sec`
-//!   headline and the engine-vs-naive speedup row come from these rows.
-//! * `fleet_solver` — the isolated arena effect: the same pre-represented
-//!   tenant instances solved back-to-back, `fresh` allocating per tenant
-//!   (`main_algorithm_sharded`) vs `reuse` drawing from one shared scratch
-//!   (`main_algorithm_scratch`).
+//!   [`FleetEngine`] (`reuse`) against the `naive` baseline: the pre-engine
+//!   way to serve a fleet — a loop of single-tenant pipelines with per-pair
+//!   provider dispatch in the similarity build, fresh solver allocations,
+//!   and the unconditional online-bound certificate each solve pays. The
+//!   `instances_per_sec` headline and the engine-vs-naive speedup row come
+//!   from these rows.
+//! * `fleet_solver` — solving alone: the same pre-represented tenant
+//!   instances solved back-to-back through the CELF plan, drawing from one
+//!   shared scratch.
 //! * `fleet_scaling` — the end-to-end batch at 1/2/4 worker threads
 //!   (tenants dispatch largest-first across the persistent pool).
 //!
@@ -36,8 +35,8 @@
 //! from per-tenant wall clocks, not from criterion's per-iteration mean.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use par_algo::{main_algorithm_scratch, main_algorithm_sharded, online_bound, SolveScratch};
-use par_core::{Instance, InstanceBuilder, PhotoId};
+use par_algo::{main_algorithm_sharded, online_bound, ShardedSolver, SolveScratch};
+use par_core::{shard_labels, Instance, InstanceBuilder, PhotoId};
 use par_datasets::{generate_fleet, FleetConfig};
 use par_embed::{ContextVector, ContextualSimilarity};
 use par_exec::Parallelism;
@@ -64,6 +63,15 @@ fn represented(tenants: &[FleetTenant]) -> Vec<Instance> {
         .iter()
         .map(|t| represent(&t.universe, t.budget, &RepresentationConfig::default()).unwrap())
         .collect()
+}
+
+/// Algorithm 1 on one pre-represented tenant through the CELF plan, every
+/// buffer drawn from `scratch` — the engine's per-tenant solve.
+fn plan_score(inst: &Instance, scratch: &mut SolveScratch) -> f64 {
+    let solver = ShardedSolver::new_in_with_labels(inst, shard_labels(inst), scratch);
+    let score = solver.main_algorithm(scratch).best.score;
+    solver.recycle(scratch);
+    score
 }
 
 /// One tenant through the pre-engine serving pipeline: the dense contextual
@@ -122,16 +130,9 @@ fn bench_fleet_batch(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("fleet_batch");
     group.sample_size(10);
-    for (label, reuse_arenas) in [("reuse", true), ("fresh", false)] {
-        let engine = FleetEngine::new(FleetEngineConfig {
-            parallelism: Parallelism::serial(),
-            reuse_arenas,
-            ..Default::default()
-        });
-        group.bench_function(BenchmarkId::new(label, "batch192"), |b| {
-            b.iter(|| std::hint::black_box(engine.run(&tenants).len()))
-        });
-    }
+    group.bench_function(BenchmarkId::new("reuse", "batch192"), |b| {
+        b.iter(|| std::hint::black_box(engine.run(&tenants).len()))
+    });
     group.bench_function(BenchmarkId::new("naive", "batch192"), |b| {
         b.iter(|| {
             let mut acc = 0.0f64;
@@ -160,16 +161,7 @@ fn bench_fleet_solver(c: &mut Criterion) {
             let mut scratch = SolveScratch::default();
             let mut acc = 0.0f64;
             for inst in &instances {
-                acc += main_algorithm_scratch(inst, &mut scratch).best.score;
-            }
-            std::hint::black_box(acc)
-        })
-    });
-    group.bench_function(BenchmarkId::new("fresh", "batch192"), |b| {
-        b.iter(|| {
-            let mut acc = 0.0f64;
-            for inst in &instances {
-                acc += main_algorithm_sharded(inst).best.score;
+                acc += plan_score(inst, &mut scratch);
             }
             std::hint::black_box(acc)
         })
@@ -224,7 +216,7 @@ fn bench_fleet_latency(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function(BenchmarkId::new("median_tenant", "solve"), |b| {
         let mut scratch = SolveScratch::default();
-        b.iter(|| std::hint::black_box(main_algorithm_scratch(&inst[0], &mut scratch).best.score))
+        b.iter(|| std::hint::black_box(plan_score(&inst[0], &mut scratch)))
     });
     group.finish();
 }

@@ -22,9 +22,10 @@
 //!   installed *serial* `Parallelism` (single-core; the before/after rows
 //!   of `BENCH_shard.json`): `t95` = τ=0.95, B = C(P)/5 (163 components)
 //!   and `t92` = τ=0.92, B = C(P)/10 (493 components);
-//! * `shard_scaling` — the sharded solver at 1/2/4 worker threads (the
-//!   per-shard stream builds dispatch through `par-exec`), for the scaling
-//!   rows.
+//! * `shard_scaling` — the prepared solver at 1/2/4 worker threads. The
+//!   coordinator and its stream builds are sequential (only the prepare-time
+//!   seed sweep dispatches through `par-exec`), so these rows show what an
+//!   installed pool costs a solve.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use par_algo::{lazy_greedy, GreedyRule, ShardedSolver};

@@ -1,8 +1,9 @@
-//! Solver benchmarks: Algorithm 1 end to end, and the lazy-vs-eager greedy
-//! comparison behind the paper's Section 4.2 efficiency argument.
+//! Solver benchmarks: Algorithm 1 end to end through the CELF plan, and the
+//! lazy-vs-eager greedy comparison behind the paper's Section 4.2 efficiency
+//! argument.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use par_algo::{eager_greedy, lazy_greedy, main_algorithm, GreedyRule};
+use par_algo::{eager_greedy, lazy_greedy, main_algorithm_sharded, GreedyRule};
 use par_bench::{dataset, DatasetId, Scale};
 use phocus::{represent, RepresentationConfig};
 
@@ -10,7 +11,7 @@ fn bench_main_algorithm(c: &mut Criterion) {
     let u = dataset(DatasetId::P1K, Scale::Scaled);
     let inst = represent(&u, u.total_cost() / 5, &RepresentationConfig::default()).unwrap();
     c.bench_function("main_algorithm/P-1K/20%budget", |b| {
-        b.iter(|| main_algorithm(std::hint::black_box(&inst)))
+        b.iter(|| main_algorithm_sharded(std::hint::black_box(&inst)))
     });
 }
 
@@ -39,7 +40,7 @@ fn bench_budget_scaling(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{pct}%")),
             &inst,
-            |b, i| b.iter(|| main_algorithm(std::hint::black_box(i))),
+            |b, i| b.iter(|| main_algorithm_sharded(std::hint::black_box(i))),
         );
     }
     group.finish();

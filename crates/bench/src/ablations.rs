@@ -5,7 +5,7 @@
 
 use crate::registry::{dataset, DatasetId, Scale, SEED};
 use crate::Series;
-use par_algo::{main_algorithm, swap_local_search, LocalSearchConfig};
+use par_algo::{main_algorithm_sharded, swap_local_search, LocalSearchConfig};
 use par_core::Solution;
 use par_sparse::sparsification_bound;
 use phocus::{compare_remove_vs_compress, represent, ActionLadder, RepresentationConfig, Sparsification};
@@ -26,7 +26,7 @@ pub fn ablation_context(_scale: Scale) -> Vec<Series> {
             ..Default::default()
         };
         let inst = represent(&u, budget, &cfg).expect("representation");
-        let sel = main_algorithm(&inst).best.selected;
+        let sel = main_algorithm_sharded(&inst).best.selected;
         let q = Solution::new_unchecked(&eval, sel).score();
         rows.push(Series::new(
             "ablation_context",
@@ -44,7 +44,7 @@ pub fn ablation_tau(_scale: Scale) -> Vec<Series> {
     let u = dataset(DatasetId::P1K, Scale::Scaled);
     let budget = u.total_cost() / 5;
     let dense = represent(&u, budget, &RepresentationConfig::default()).expect("representation");
-    let dense_sel = main_algorithm(&dense).best.selected;
+    let dense_sel = main_algorithm_sharded(&dense).best.selected;
     let dense_q = Solution::new_unchecked(&dense, dense_sel).score();
     let dense_pairs = dense.stored_pairs().max(1);
 
@@ -59,7 +59,7 @@ pub fn ablation_tau(_scale: Scale) -> Vec<Series> {
             ..Default::default()
         };
         let sparse = represent(&u, budget, &cfg).expect("representation");
-        let sel = main_algorithm(&sparse).best.selected;
+        let sel = main_algorithm_sharded(&sparse).best.selected;
         let q = Solution::new_unchecked(&dense, sel).score();
         let cert = sparsification_bound(&dense, tau);
         let x = format!("tau={tau}");
@@ -125,7 +125,7 @@ pub fn ablation_local_search(_scale: Scale) -> Vec<Series> {
     let inst = represent(&u, budget, &RepresentationConfig::default()).expect("representation");
     let cfg = LocalSearchConfig::default();
 
-    let greedy = main_algorithm(&inst).best;
+    let greedy = main_algorithm_sharded(&inst).best;
     let polished = swap_local_search(&inst, &greedy.selected, &cfg);
     let mut rng = rand::rngs::StdRng::seed_from_u64(SEED);
     let random = par_algo::rand_a(&inst, &mut rng);
@@ -170,7 +170,7 @@ pub fn ablation_scaling(scale: Scale) -> Vec<Series> {
 
         let t = std::time::Instant::now();
         let dense = represent(&u, budget, &RepresentationConfig::default()).expect("repr");
-        main_algorithm(&dense);
+        main_algorithm_sharded(&dense);
         let ns_time = t.elapsed().as_secs_f64();
 
         let t = std::time::Instant::now();
@@ -187,7 +187,7 @@ pub fn ablation_scaling(scale: Scale) -> Vec<Series> {
             },
         )
         .expect("repr");
-        main_algorithm(&sparse);
+        main_algorithm_sharded(&sparse);
         let ph_time = t.elapsed().as_secs_f64();
 
         rows.push(Series::new(

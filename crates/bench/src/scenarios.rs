@@ -139,7 +139,6 @@ pub fn scenario_parallel(scale: Scale, thread_counts: &[usize]) -> Vec<Series> {
             representation: RepresentationConfig::default(),
             certify_sparsification: false,
             parallelism: Parallelism::with_threads(t),
-            sharding: true,
         });
         let report = solver.solve(&u, budget).expect("solver runs");
         match &reference {

@@ -44,8 +44,7 @@
 //! run union-find over the dirty photos.
 //!
 //! Relevance vectors are **never re-normalized** when members are removed:
-//! the surviving entries keep their exact bits (mirroring how
-//! [`crate::components`] splits queries into fragments), so clean photos'
+//! the surviving entries keep their exact bits, so clean photos'
 //! `W·R` products — and hence their cached marginal-gain bits — are
 //! preserved. Added queries are normalized exactly like
 //! [`crate::InstanceBuilder`] does.

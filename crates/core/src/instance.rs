@@ -235,10 +235,10 @@ impl Instance {
     /// validation and **no** relevance normalization.
     ///
     /// This is the shared tail of the builder (whose `validate` has already
-    /// normalized) and the entry point for [`crate::components`] sub-views,
-    /// which must copy parent relevance bit-exactly — re-normalizing a
-    /// query fragment would change `W·R` products and break the sharded
-    /// solver's bit-identity with the global one.
+    /// normalized) and of the epoch-delta rebuild ([`crate::delta`]), which
+    /// must copy surviving relevance bit-exactly — re-normalizing a pruned
+    /// query would change `W·R` products and break the incremental
+    /// solver's bit-identity with a from-scratch solve.
     pub(crate) fn assemble(
         photos: Vec<Photo>,
         required: Vec<PhotoId>,

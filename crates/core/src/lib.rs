@@ -79,7 +79,7 @@ pub mod stats;
 pub mod subset;
 
 pub use components::{
-    decompose, decompose_with_labels, shard_labels, ComponentView, Decomposition, ShardLabels,
+    decompose, shard_labels, ComponentView, Decomposition, ShardLabels,
 };
 pub use delta::{apply_delta, AppliedDelta, EpochDelta, MemberRef, PhotoAdd, QueryAdd};
 pub use error::{ModelError, Result};

@@ -97,7 +97,7 @@ fn main() -> ExitCode {
     };
     let rest = &args[1..];
     let result = match cmd.as_str() {
-        "demo" => cmd_demo(),
+        "demo" => cmd_demo(rest),
         "table2" => cmd_table2(rest),
         "solve" => cmd_solve(rest),
         "suite" => cmd_suite(rest),
@@ -130,17 +130,15 @@ USAGE:
   phocus demo
   phocus table2 [--full] [--seed N]
   phocus solve --dataset <NAME> --budget-mb <MB> [--tau T] [--ns] [--seed N] [--threads N]
-               [--no-sharding] [--out FILE]
+               [--out FILE]
   phocus suite --dataset <NAME> --budget-mb <MB> [--tau T] [--seed N]
   phocus compress --dataset <NAME> --budget-mb <MB> [--seed N] [--threads N]
-               [--ladder SPEC|none|paper] [--no-sharding] [--frontier N]
-               [--out FILE]
+               [--ladder SPEC|none|paper] [--frontier N] [--out FILE]
   phocus export --dataset <NAME> --out <FILE> [--seed N]
   phocus plan --dataset <NAME> --target <FRACTION> [--seed N]
   phocus serve-batch --list <FILE|-> [--budget-frac F | --budget-mb MB]
-               [--tau T] [--ns] [--threads N] [--fresh-arenas] [--out-dir DIR]
-  phocus serve-batch --catalog <DIR> [--threads N] [--fresh-arenas]
-               [--out-dir DIR]
+               [--tau T] [--ns] [--threads N] [--out-dir DIR]
+  phocus serve-batch --catalog <DIR> [--threads N] [--out-dir DIR]
   phocus epochs --dataset <NAME> --budget-mb <MB> [--trace FILE]
                [--epochs N] [--churn F] [--tau T] [--ns] [--seed N]
                [--threads N] [--check] [--export-trace FILE]
@@ -150,6 +148,9 @@ USAGE:
   phocus catalog build --list <FILE|-> --out-dir <DIR>
                [--budget-frac F | --budget-mb MB] [--tau T] [--ns] [--seed N]
   phocus catalog ls <DIR>
+
+Every verb rejects a flag it does not read (exit 2). --budget-mb takes a
+  finite, non-negative number of megabytes (10^6 bytes).
 
 DATASETS: p1k p5k p10k p50k p100k ec-fashion ec-electronics ec-home file:<path>
   (EC datasets use the scaled-down generator; pass --paper-scale for full size)
@@ -171,8 +172,8 @@ COMPRESS: multi-action archival — keep, recompress, or delete each photo.
   directly comparable. --frontier N sweeps N budgets up to --budget-mb and
   prints delete-only vs multi-action frontier curves. --out writes the
   retained actions as a TSV (id, parent, action, cost, name) in selection
-  order; --no-sharding and --threads have `solve` semantics (solutions are
-  bit-identical either way).
+  order; --threads has `solve` semantics (solutions are bit-identical at
+  every thread count).
 
 PACK / CATALOG: `pack` represents one dataset and writes it as a
   `phocus-pack` image — a checksummed binary section file that later loads
@@ -197,22 +198,86 @@ EXIT CODES: 0 success, 2 usage error, 3 invalid input data, 4 I/O failure,
   5 partial failure (serve-batch / epochs: some tenants or epochs failed,
   the run itself completed)";
 
-fn flag(rest: &[String], name: &str) -> bool {
-    rest.iter().any(|a| a == name)
+/// One verb's arguments, checked up front against exactly the flags the
+/// verb reads: `values` take a value, `switches` stand alone. Anything else
+/// is a usage error, so a misspelled or retired flag fails loudly instead of
+/// silently solving at a default.
+struct Args<'a> {
+    rest: &'a [String],
+    values: &'a [&'a str],
+    switches: &'a [&'a str],
 }
 
-fn opt(rest: &[String], name: &str) -> Option<String> {
-    rest.iter()
-        .position(|a| a == name)
-        .and_then(|i| rest.get(i + 1).cloned())
-}
+impl<'a> Args<'a> {
+    fn new(
+        verb: &str,
+        rest: &'a [String],
+        values: &'a [&'a str],
+        switches: &'a [&'a str],
+    ) -> Result<Self, CliError> {
+        let mut i = 0;
+        while i < rest.len() {
+            let a = rest[i].as_str();
+            if values.contains(&a) {
+                if i + 1 == rest.len() {
+                    return Err(CliError::usage(format!("missing value for {a}")));
+                }
+                i += 2;
+            } else if switches.contains(&a) {
+                i += 1;
+            } else {
+                return Err(CliError::usage(format!(
+                    "`{verb}` does not take `{a}` (see `phocus help`)"
+                )));
+            }
+        }
+        Ok(Args {
+            rest,
+            values,
+            switches,
+        })
+    }
 
-fn parse<T: std::str::FromStr>(rest: &[String], name: &str, default: T) -> Result<T, CliError> {
-    match opt(rest, name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError::usage(format!("invalid value for {name}: {v}"))),
+    fn flag(&self, name: &str) -> bool {
+        debug_assert!(self.switches.contains(&name), "{name} is not declared");
+        self.rest.iter().any(|a| a == name)
+    }
+
+    fn opt(&self, name: &str) -> Option<String> {
+        debug_assert!(self.values.contains(&name), "{name} is not declared");
+        self.rest
+            .iter()
+            .position(|a| a == name)
+            .and_then(|i| self.rest.get(i + 1).cloned())
+    }
+
+    fn parse<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, CliError> {
+        match self.opt(name) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| CliError::usage(format!("invalid value for {name}: {v}"))),
+        }
+    }
+
+    fn required(&self, name: &str) -> Result<String, CliError> {
+        self.opt(name)
+            .ok_or_else(|| CliError::usage(format!("missing {name}")))
+    }
+
+    /// `--budget-mb` in bytes (1 MB = 10⁶ B): exactly `(mb * 1e6) as u64`
+    /// for every finite `mb` in `[0, u64::MAX / 1e6]`; negative, NaN,
+    /// infinite and out-of-range values are usage errors instead of
+    /// saturating to a 0-byte or `u64::MAX` budget.
+    fn budget_mb(&self, default_mb: f64) -> Result<u64, CliError> {
+        let mb: f64 = self.parse("--budget-mb", default_mb)?;
+        if !(0.0..=u64::MAX as f64 / 1e6).contains(&mb) {
+            return Err(CliError::usage(format!(
+                "--budget-mb must be a finite number of megabytes in [0, {:e}], got {mb}",
+                u64::MAX as f64 / 1e6
+            )));
+        }
+        Ok((mb * 1e6) as u64)
     }
 }
 
@@ -246,10 +311,10 @@ fn write_bytes(path: &str, bytes: &[u8]) -> Result<(), PhocusError> {
 
 /// The shared `--tau` / `--seed` / `--ns` representation flags, with the
 /// same defaults everywhere (τ = 0.6, seed = 42, LSH recall target 0.95).
-fn repr_from_flags(rest: &[String]) -> Result<RepresentationConfig, CliError> {
-    let tau: f64 = parse(rest, "--tau", 0.6)?;
-    let seed: u64 = parse(rest, "--seed", 42)?;
-    Ok(if flag(rest, "--ns") {
+fn repr_from_flags(args: &Args<'_>) -> Result<RepresentationConfig, CliError> {
+    let tau: f64 = args.parse("--tau", 0.6)?;
+    let seed: u64 = args.parse("--seed", 42)?;
+    Ok(if args.flag("--ns") {
         RepresentationConfig::phocus_ns()
     } else {
         RepresentationConfig {
@@ -325,7 +390,8 @@ fn load_dataset(name: &str, seed: u64, paper_scale: bool) -> Result<Universe, Cl
     })
 }
 
-fn cmd_demo() -> Result<(), CliError> {
+fn cmd_demo(rest: &[String]) -> Result<(), CliError> {
+    Args::new("demo", rest, &[], &[])?;
     println!("Figure 1 worked example (7 photos, 4 pre-defined subsets)\n");
     let inst = figure1_instance(4 * par_core::fixtures::MB);
     let report = Phocus::default().solve_instance(&inst, std::time::Duration::ZERO);
@@ -344,8 +410,9 @@ fn cmd_demo() -> Result<(), CliError> {
 }
 
 fn cmd_table2(rest: &[String]) -> Result<(), CliError> {
-    let full = flag(rest, "--full");
-    let seed = parse(rest, "--seed", 42u64)?;
+    let args = Args::new("table2", rest, &["--seed"], &["--full"])?;
+    let full = args.flag("--full");
+    let seed = args.parse("--seed", 42u64)?;
     let rows = par_datasets::table2_rows(full, seed);
     println!(
         "{:<20} {:>12} {:>12} {:>14} {:>14}",
@@ -364,31 +431,25 @@ fn cmd_table2(rest: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_solve(rest: &[String]) -> Result<(), CliError> {
-    let dataset = opt(rest, "--dataset").ok_or_else(|| CliError::usage("missing --dataset"))?;
-    let budget_mb: f64 = parse(rest, "--budget-mb", 10.0)?;
-    let tau: f64 = parse(rest, "--tau", 0.6)?;
-    let seed: u64 = parse(rest, "--seed", 42)?;
-    let universe = load_dataset(&dataset, seed, flag(rest, "--paper-scale"))?;
-    let budget = (budget_mb * 1e6) as u64;
-
-    let representation = if flag(rest, "--ns") {
-        RepresentationConfig::phocus_ns()
-    } else {
-        RepresentationConfig {
-            sparsification: Sparsification::Lsh {
-                tau,
-                target_recall: 0.95,
-                seed,
-            },
-            ..Default::default()
-        }
-    };
-    let solver = Phocus::new(PhocusConfig {
-        representation: representation.clone(),
-        certify_sparsification: !flag(rest, "--ns"),
-        parallelism: Parallelism::with_threads(parse(rest, "--threads", 0usize)?),
-        sharding: !flag(rest, "--no-sharding"),
-    });
+    let args = Args::new(
+        "solve",
+        rest,
+        &[
+            "--dataset",
+            "--budget-mb",
+            "--tau",
+            "--seed",
+            "--threads",
+            "--out",
+        ],
+        &["--paper-scale", "--ns"],
+    )?;
+    let dataset = args.required("--dataset")?;
+    let budget = args.budget_mb(10.0)?;
+    let seed: u64 = args.parse("--seed", 42)?;
+    let representation = repr_from_flags(&args)?;
+    let universe = load_dataset(&dataset, seed, args.flag("--paper-scale"))?;
+    let parallelism = Parallelism::with_threads(args.parse("--threads", 0usize)?);
     println!(
         "dataset {} — {} photos, {} subsets, archive {:.1} MB",
         universe.name,
@@ -396,10 +457,22 @@ fn cmd_solve(rest: &[String]) -> Result<(), CliError> {
         universe.num_subsets(),
         universe.total_cost() as f64 / 1e6
     );
-    let report = solver.solve(&universe, budget)?;
-    let inst = phocus::represent(&universe, budget, &representation)?;
+    // Represent once, under the requested thread count; the same instance
+    // is solved, rendered and written.
+    let prev = parallelism.install_global();
+    let t0 = std::time::Instant::now(); // phocus-lint: allow(wall-clock) — fills the reported represent time only
+    let represented = phocus::represent(&universe, budget, &representation);
+    let represent_time = t0.elapsed();
+    prev.install_global();
+    let inst = represented?;
+    let solver = Phocus::new(PhocusConfig {
+        representation,
+        certify_sparsification: !args.flag("--ns"),
+        parallelism,
+    });
+    let report = solver.solve_instance(&inst, represent_time);
     print!("{}", render_report(&inst, &report));
-    if let Some(out) = opt(rest, "--out") {
+    if let Some(out) = args.opt("--out") {
         // One retained photo per line: id, byte cost, name.
         let mut text = String::new();
         for &p in &report.selected {
@@ -413,24 +486,36 @@ fn cmd_solve(rest: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_compress(rest: &[String]) -> Result<(), CliError> {
-    let threads: usize = parse(rest, "--threads", 0)?;
+    let args = Args::new(
+        "compress",
+        rest,
+        &[
+            "--threads",
+            "--dataset",
+            "--budget-mb",
+            "--seed",
+            "--ladder",
+            "--frontier",
+            "--out",
+        ],
+        &["--paper-scale"],
+    )?;
+    let threads: usize = args.parse("--threads", 0)?;
     let prev = Parallelism::with_threads(threads).install_global();
-    let result = run_compress(rest);
+    let result = run_compress(&args);
     prev.install_global();
     result
 }
 
-fn run_compress(rest: &[String]) -> Result<(), CliError> {
-    let dataset = opt(rest, "--dataset").ok_or_else(|| CliError::usage("missing --dataset"))?;
-    let budget_mb: f64 = parse(rest, "--budget-mb", 2.0)?;
-    let seed: u64 = parse(rest, "--seed", 42)?;
-    let ladder = match opt(rest, "--ladder") {
+fn run_compress(args: &Args<'_>) -> Result<(), CliError> {
+    let dataset = args.required("--dataset")?;
+    let budget = args.budget_mb(2.0)?;
+    let seed: u64 = args.parse("--seed", 42)?;
+    let ladder = match args.opt("--ladder") {
         None => ActionLadder::standard(),
         Some(spec) => ActionLadder::parse(&spec).map_err(CliError::Pipeline)?,
     };
-    let sharding = !flag(rest, "--no-sharding");
-    let universe = load_dataset(&dataset, seed, flag(rest, "--paper-scale"))?;
-    let budget = (budget_mb * 1e6) as u64;
+    let universe = load_dataset(&dataset, seed, args.flag("--paper-scale"))?;
     let cfg = RepresentationConfig::default();
     let rungs: Vec<String> = ladder
         .levels()
@@ -448,14 +533,9 @@ fn run_compress(rest: &[String]) -> Result<(), CliError> {
     // Two multi-action solves on the same ε-free objective: the degenerate
     // delete-only ladder *is* remove-only archival (bit for bit), so the
     // comparison needs no separate code path.
-    let remove = phocus::solve_multi_action(
-        &universe,
-        budget,
-        &ActionLadder::delete_only(),
-        &cfg,
-        sharding,
-    )?;
-    let ma = phocus::solve_multi_action(&universe, budget, &ladder, &cfg, sharding)?;
+    let remove =
+        phocus::solve_multi_action(&universe, budget, &ActionLadder::delete_only(), &cfg, true)?;
+    let ma = phocus::solve_multi_action(&universe, budget, &ladder, &cfg, true)?;
     println!("remove-only quality:        {:.2}", remove.score);
     // A zero remove-only score (zero budget, empty demand) has no
     // meaningful percentage — omit it instead of printing NaN/inf.
@@ -469,7 +549,7 @@ fn run_compress(rest: &[String]) -> Result<(), CliError> {
         "retained: {} full-quality photos + {} compressed renditions",
         ma.kept_original, ma.kept_compressed
     );
-    if let Some(points) = opt(rest, "--frontier") {
+    if let Some(points) = args.opt("--frontier") {
         let points: usize = points
             .parse()
             .ok()
@@ -489,7 +569,7 @@ fn run_compress(rest: &[String]) -> Result<(), CliError> {
             );
         }
     }
-    if let Some(out) = opt(rest, "--out") {
+    if let Some(out) = args.opt("--out") {
         // One retained action per line, in transcript order:
         // id, parent id, action, byte cost, name.
         let mut text = String::new();
@@ -515,10 +595,16 @@ fn run_compress(rest: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_export(rest: &[String]) -> Result<(), CliError> {
-    let dataset = opt(rest, "--dataset").ok_or_else(|| CliError::usage("missing --dataset"))?;
-    let out = opt(rest, "--out").ok_or_else(|| CliError::usage("missing --out"))?;
-    let seed: u64 = parse(rest, "--seed", 42)?;
-    let universe = load_dataset(&dataset, seed, flag(rest, "--paper-scale"))?;
+    let args = Args::new(
+        "export",
+        rest,
+        &["--dataset", "--out", "--seed"],
+        &["--paper-scale"],
+    )?;
+    let dataset = args.required("--dataset")?;
+    let out = args.required("--out")?;
+    let seed: u64 = args.parse("--seed", 42)?;
+    let universe = load_dataset(&dataset, seed, args.flag("--paper-scale"))?;
     write_file(&out, &par_datasets::to_text(&universe))?;
     println!(
         "wrote {} ({} photos, {} subsets)",
@@ -530,10 +616,16 @@ fn cmd_export(rest: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_plan(rest: &[String]) -> Result<(), CliError> {
-    let dataset = opt(rest, "--dataset").ok_or_else(|| CliError::usage("missing --dataset"))?;
-    let target: f64 = parse(rest, "--target", 0.9)?;
-    let seed: u64 = parse(rest, "--seed", 42)?;
-    let universe = load_dataset(&dataset, seed, flag(rest, "--paper-scale"))?;
+    let args = Args::new(
+        "plan",
+        rest,
+        &["--dataset", "--target", "--seed"],
+        &["--paper-scale"],
+    )?;
+    let dataset = args.required("--dataset")?;
+    let target: f64 = args.parse("--target", 0.9)?;
+    let seed: u64 = args.parse("--seed", 42)?;
+    let universe = load_dataset(&dataset, seed, args.flag("--paper-scale"))?;
     let tolerance = (universe.total_cost() / 200).max(1);
     let plan = phocus::minimal_budget(
         &universe,
@@ -562,16 +654,28 @@ fn cmd_plan(rest: &[String]) -> Result<(), CliError> {
 /// line and one exit status per tenant. A tenant that fails to load or solve
 /// gets a `fail` line; the batch continues and exits 5 if any tenant failed.
 fn cmd_serve_batch(rest: &[String]) -> Result<(), CliError> {
-    if let Some(dir) = opt(rest, "--catalog") {
-        return serve_batch_catalog(rest, &dir);
+    if rest.iter().any(|a| a == "--catalog") {
+        let values = ["--catalog", "--threads", "--out-dir"];
+        let args = Args::new("serve-batch", rest, &values, &[])?;
+        return serve_batch_catalog(&args, &args.required("--catalog")?);
     }
-    let list = opt(rest, "--list").ok_or_else(|| {
+    let values = [
+        "--list",
+        "--budget-frac",
+        "--budget-mb",
+        "--threads",
+        "--out-dir",
+        "--tau",
+        "--seed",
+    ];
+    let args = Args::new("serve-batch", rest, &values, &["--ns"])?;
+    let list = args.opt("--list").ok_or_else(|| {
         CliError::usage("missing --list (file of tenant universe paths, `-` for stdin)")
     })?;
-    let budget_frac: f64 = parse(rest, "--budget-frac", 0.25)?;
-    let budget_mb: f64 = parse(rest, "--budget-mb", 0.0)?;
-    let threads: usize = parse(rest, "--threads", 0)?;
-    let out_dir = opt(rest, "--out-dir");
+    let budget_frac: f64 = args.parse("--budget-frac", 0.25)?;
+    let budget = args.budget_mb(0.0)?;
+    let threads: usize = args.parse("--threads", 0)?;
+    let out_dir = args.opt("--out-dir");
     if !(0.0..=1.0).contains(&budget_frac) || budget_frac.is_nan() {
         return Err(CliError::usage(format!(
             "--budget-frac must be in [0, 1], got {budget_frac}"
@@ -586,7 +690,7 @@ fn cmd_serve_batch(rest: &[String]) -> Result<(), CliError> {
         })?;
     }
 
-    let representation = repr_from_flags(rest)?;
+    let representation = repr_from_flags(&args)?;
 
     // Load every tenant up front; a tenant whose file is unreadable or
     // malformed fails *that tenant*, never the batch.
@@ -594,8 +698,8 @@ fn cmd_serve_batch(rest: &[String]) -> Result<(), CliError> {
     for path in &paths {
         let tenant = read_file(path).and_then(|text| {
             let universe = par_datasets::from_text(&text).map_err(PhocusError::Dataset)?;
-            let budget = if budget_mb > 0.0 {
-                (budget_mb * 1e6) as u64
+            let budget = if budget > 0 {
+                budget
             } else {
                 ((universe.total_cost() as f64 * budget_frac) as u64).max(1)
             };
@@ -609,7 +713,6 @@ fn cmd_serve_batch(rest: &[String]) -> Result<(), CliError> {
     let engine = FleetEngine::new(FleetEngineConfig {
         representation,
         parallelism: Parallelism::with_threads(threads),
-        reuse_arenas: !flag(rest, "--fresh-arenas"),
     });
     let outcomes = engine.run(&solvable);
     let batch_secs = t0.elapsed().as_secs_f64();
@@ -679,9 +782,9 @@ fn cmd_serve_batch(rest: &[String]) -> Result<(), CliError> {
 /// from pack files — no text parse, no representation, no union-find —
 /// budgets and names from the resident index. Reporting, failure isolation,
 /// and exit codes mirror the universe-list path.
-fn serve_batch_catalog(rest: &[String], dir: &str) -> Result<(), CliError> {
-    let threads: usize = parse(rest, "--threads", 0)?;
-    let out_dir = opt(rest, "--out-dir");
+fn serve_batch_catalog(args: &Args<'_>, dir: &str) -> Result<(), CliError> {
+    let threads: usize = args.parse("--threads", 0)?;
+    let out_dir = args.opt("--out-dir");
     if let Some(d) = &out_dir {
         std::fs::create_dir_all(d).map_err(|e| PhocusError::Io {
             path: d.clone(),
@@ -710,7 +813,6 @@ fn serve_batch_catalog(rest: &[String], dir: &str) -> Result<(), CliError> {
     let engine = FleetEngine::new(FleetEngineConfig {
         representation: RepresentationConfig::default(), // unused on the packed path
         parallelism: Parallelism::with_threads(threads),
-        reuse_arenas: !flag(rest, "--fresh-arenas"),
     });
     let outcomes = engine.run_packed(&solvable);
     let batch_secs = t0.elapsed().as_secs_f64();
@@ -779,7 +881,8 @@ fn serve_batch_catalog(rest: &[String], dir: &str) -> Result<(), CliError> {
 /// `pack --check` loads an existing image — full checksum, bounds, and
 /// cross-section validation — and prints its shape without solving.
 fn cmd_pack(rest: &[String]) -> Result<(), CliError> {
-    if let Some(path) = opt(rest, "--check") {
+    if rest.iter().any(|a| a == "--check") {
+        let path = Args::new("pack", rest, &["--check"], &[])?.required("--check")?;
         let bytes = read_bytes(&path)?;
         let packed = par_core::unpack_instance(&bytes)
             .map_err(|e| CliError::Pipeline(PhocusError::Pack(e)))?;
@@ -793,13 +896,15 @@ fn cmd_pack(rest: &[String]) -> Result<(), CliError> {
         );
         return Ok(());
     }
-    let dataset = opt(rest, "--dataset").ok_or_else(|| CliError::usage("missing --dataset"))?;
-    let out = opt(rest, "--out").ok_or_else(|| CliError::usage("missing --out"))?;
-    let budget_mb: f64 = parse(rest, "--budget-mb", 10.0)?;
-    let seed: u64 = parse(rest, "--seed", 42)?;
-    let universe = load_dataset(&dataset, seed, flag(rest, "--paper-scale"))?;
-    let representation = repr_from_flags(rest)?;
-    let inst = phocus::represent(&universe, (budget_mb * 1e6) as u64, &representation)?;
+    let values = ["--dataset", "--out", "--budget-mb", "--tau", "--seed"];
+    let args = Args::new("pack", rest, &values, &["--paper-scale", "--ns"])?;
+    let dataset = args.required("--dataset")?;
+    let out = args.required("--out")?;
+    let budget = args.budget_mb(10.0)?;
+    let seed: u64 = args.parse("--seed", 42)?;
+    let universe = load_dataset(&dataset, seed, args.flag("--paper-scale"))?;
+    let representation = repr_from_flags(&args)?;
+    let inst = phocus::represent(&universe, budget, &representation)?;
     let bytes = par_core::pack_instance(&inst).map_err(PhocusError::from)?;
     write_bytes(&out, &bytes)?;
     println!(
@@ -826,19 +931,27 @@ fn cmd_catalog(rest: &[String]) -> Result<(), CliError> {
 /// unreadable or malformed tenant fails the build, because a catalog with
 /// silently missing tenants would serve wrong fleets forever after.
 fn cmd_catalog_build(rest: &[String]) -> Result<(), CliError> {
-    let list = opt(rest, "--list").ok_or_else(|| {
+    let values = [
+        "--list",
+        "--out-dir",
+        "--budget-frac",
+        "--budget-mb",
+        "--tau",
+        "--seed",
+    ];
+    let args = Args::new("catalog build", rest, &values, &["--ns"])?;
+    let list = args.opt("--list").ok_or_else(|| {
         CliError::usage("missing --list (file of tenant universe paths, `-` for stdin)")
     })?;
-    let out_dir =
-        opt(rest, "--out-dir").ok_or_else(|| CliError::usage("missing --out-dir"))?;
-    let budget_frac: f64 = parse(rest, "--budget-frac", 0.25)?;
-    let budget_mb: f64 = parse(rest, "--budget-mb", 0.0)?;
+    let out_dir = args.required("--out-dir")?;
+    let budget_frac: f64 = args.parse("--budget-frac", 0.25)?;
+    let budget_bytes = args.budget_mb(0.0)?;
     if !(0.0..=1.0).contains(&budget_frac) || budget_frac.is_nan() {
         return Err(CliError::usage(format!(
             "--budget-frac must be in [0, 1], got {budget_frac}"
         )));
     }
-    let representation = repr_from_flags(rest)?;
+    let representation = repr_from_flags(&args)?;
 
     let paths = read_tenant_list(&list)?;
     let mut builder = CatalogBuilder::create(&out_dir)?;
@@ -846,8 +959,8 @@ fn cmd_catalog_build(rest: &[String]) -> Result<(), CliError> {
         let text = read_file(path)?;
         let universe = par_datasets::from_text(&text)
             .map_err(|e| CliError::Pipeline(PhocusError::Dataset(e)))?;
-        let budget = if budget_mb > 0.0 {
-            (budget_mb * 1e6) as u64
+        let budget = if budget_bytes > 0 {
+            budget_bytes
         } else {
             ((universe.total_cost() as f64 * budget_frac) as u64).max(1)
         };
@@ -876,9 +989,15 @@ fn cmd_catalog_build(rest: &[String]) -> Result<(), CliError> {
 
 /// `catalog ls`: print the resident index, one line per tenant.
 fn cmd_catalog_ls(rest: &[String]) -> Result<(), CliError> {
-    let dir = rest
-        .first()
-        .ok_or_else(|| CliError::usage("missing catalog directory"))?;
+    let dir = match rest {
+        [dir] => dir,
+        [] => return Err(CliError::usage("missing catalog directory")),
+        [_, extra, ..] => {
+            return Err(CliError::usage(format!(
+                "`catalog ls` does not take `{extra}` (see `phocus help`)"
+            )))
+        }
+    };
     let catalog = Catalog::open(dir.as_str())?;
     for e in catalog.entries() {
         println!(
@@ -900,25 +1019,36 @@ fn cmd_catalog_ls(rest: &[String]) -> Result<(), CliError> {
 /// epoch only — the session keeps its instance and warm stream caches — and
 /// the run exits 5 if any epoch failed, mirroring `serve-batch`.
 fn cmd_epochs(rest: &[String]) -> Result<(), CliError> {
-    let dataset = opt(rest, "--dataset").ok_or_else(|| CliError::usage("missing --dataset"))?;
-    let budget_mb: f64 = parse(rest, "--budget-mb", 10.0)?;
-    let seed: u64 = parse(rest, "--seed", 42)?;
-    let epochs_n: usize = parse(rest, "--epochs", 8)?;
-    let churn: f64 = parse(rest, "--churn", 0.01)?;
-    let threads: usize = parse(rest, "--threads", 0)?;
-    let check = flag(rest, "--check");
+    let values = [
+        "--dataset",
+        "--budget-mb",
+        "--epochs",
+        "--churn",
+        "--threads",
+        "--trace",
+        "--export-trace",
+        "--tau",
+        "--seed",
+    ];
+    let args = Args::new("epochs", rest, &values, &["--check", "--paper-scale", "--ns"])?;
+    let dataset = args.required("--dataset")?;
+    let budget = args.budget_mb(10.0)?;
+    let seed: u64 = args.parse("--seed", 42)?;
+    let epochs_n: usize = args.parse("--epochs", 8)?;
+    let churn: f64 = args.parse("--churn", 0.01)?;
+    let threads: usize = args.parse("--threads", 0)?;
+    let check = args.flag("--check");
     if !(0.0..=1.0).contains(&churn) || churn.is_nan() {
         return Err(CliError::usage(format!(
             "--churn must be in [0, 1], got {churn}"
         )));
     }
 
-    let universe = load_dataset(&dataset, seed, flag(rest, "--paper-scale"))?;
-    let budget = (budget_mb * 1e6) as u64;
-    let representation = repr_from_flags(rest)?;
+    let universe = load_dataset(&dataset, seed, args.flag("--paper-scale"))?;
+    let representation = repr_from_flags(&args)?;
     let inst = phocus::represent(&universe, budget, &representation)?;
 
-    let trace = match opt(rest, "--trace") {
+    let trace = match args.opt("--trace") {
         Some(path) => {
             let text = read_file(&path)?;
             par_datasets::trace_from_text(&text)
@@ -944,7 +1074,7 @@ fn cmd_epochs(rest: &[String]) -> Result<(), CliError> {
             .map_err(|e| CliError::Pipeline(PhocusError::Dataset(e)))?
         }
     };
-    if let Some(out) = opt(rest, "--export-trace") {
+    if let Some(out) = args.opt("--export-trace") {
         write_file(&out, &par_datasets::trace_to_text(&trace))?;
         println!("wrote trace to {out} ({} epochs)", trace.epochs.len());
     }
@@ -1030,12 +1160,17 @@ fn run_epochs(
 }
 
 fn cmd_suite(rest: &[String]) -> Result<(), CliError> {
-    let dataset = opt(rest, "--dataset").ok_or_else(|| CliError::usage("missing --dataset"))?;
-    let budget_mb: f64 = parse(rest, "--budget-mb", 10.0)?;
-    let tau: f64 = parse(rest, "--tau", 0.6)?;
-    let seed: u64 = parse(rest, "--seed", 42)?;
-    let universe = load_dataset(&dataset, seed, flag(rest, "--paper-scale"))?;
-    let budget = (budget_mb * 1e6) as u64;
+    let args = Args::new(
+        "suite",
+        rest,
+        &["--dataset", "--budget-mb", "--tau", "--seed"],
+        &["--paper-scale"],
+    )?;
+    let dataset = args.required("--dataset")?;
+    let budget = args.budget_mb(10.0)?;
+    let tau: f64 = args.parse("--tau", 0.6)?;
+    let seed: u64 = args.parse("--seed", 42)?;
+    let universe = load_dataset(&dataset, seed, args.flag("--paper-scale"))?;
     let cfg = SuiteConfig {
         tau,
         rand_seed: seed,

@@ -32,7 +32,7 @@
 
 use crate::error::{PhocusError, Result};
 use crate::representation::{represent, RepresentationConfig};
-use par_algo::{main_algorithm_with, quality_curve};
+use par_algo::{main_algorithm, main_algorithm_sharded, quality_curve, MainOutcome, ShardedSolver};
 use par_core::{Instance, PhotoId};
 use par_datasets::{SubsetDef, Universe};
 
@@ -441,8 +441,9 @@ pub fn prune_and_refill(
             .collect()
     };
     let kept = prune(selected);
-    let refilled =
-        par_algo::sharded_lazy_greedy_from(inst, &kept, par_algo::GreedyRule::CostBenefit).selected;
+    let refilled = ShardedSolver::new(inst)
+        .solve_from(&kept, par_algo::GreedyRule::CostBenefit)
+        .selected;
     // Algorithm 2 fills the budget even with near-zero gains, which can
     // re-introduce dominated renditions as filler; a final prune leaves
     // that budget unused instead of stored as junk.
@@ -471,15 +472,17 @@ pub struct MultiActionSolve {
 }
 
 /// Solves the multi-action PAR model: expand with `ladder`, solve the
-/// expanded instance (Algorithm 1 on the component-sharded solver when
-/// `sharding`, the global one otherwise — bit-identical transcripts), then
-/// apply the [`prune_and_refill`] repair, reporting whichever of the raw and
-/// repaired selections scores higher on the ε-free objective (repaired on
-/// ties).
+/// expanded instance with Algorithm 1, then apply the [`prune_and_refill`]
+/// repair, reporting whichever of the raw and repaired selections scores
+/// higher on the ε-free objective (repaired on ties).
 ///
 /// The delete-only ladder takes the unexpanded path — same representation,
 /// same solver, no repair — so its solution reproduces remove-only archival
 /// *exactly*, bit for bit.
+///
+/// `sharding` is the oracle switch for references and tests: `true` solves
+/// through the CELF plan (what the CLI runs), `false` through the global
+/// [`main_algorithm`] oracle. The transcripts are bit-identical.
 pub fn solve_multi_action(
     universe: &Universe,
     budget: u64,
@@ -489,7 +492,7 @@ pub fn solve_multi_action(
 ) -> Result<MultiActionSolve> {
     if ladder.is_empty() {
         let inst = represent(universe, budget, cfg)?;
-        let out = main_algorithm_with(&inst, sharding);
+        let out = algorithm1(&inst, sharding);
         let map = VariantMap::identity(inst.num_photos());
         let kept_original = out.best.selected.len();
         return Ok(MultiActionSolve {
@@ -503,7 +506,7 @@ pub fn solve_multi_action(
     }
     let (expanded, map) = expand_with_variants(universe, ladder);
     let inst = represent_with_variants(&expanded, &map, ladder, budget, cfg)?;
-    let out = main_algorithm_with(&inst, sharding);
+    let out = algorithm1(&inst, sharding);
     let repaired = prune_and_refill(&inst, &map, ladder, &out.best.selected);
     let repaired_score = epsilon_free_score(&inst, &map, &repaired);
     let raw_score = epsilon_free_score(&inst, &map, &out.best.selected);
@@ -547,30 +550,26 @@ pub struct CompressionComparison {
     pub kept_compressed: usize,
 }
 
+/// Algorithm 1 on the plan (`sharding`) or on the global oracle.
+fn algorithm1(inst: &Instance, sharding: bool) -> MainOutcome {
+    if sharding {
+        main_algorithm_sharded(inst)
+    } else {
+        main_algorithm(inst)
+    }
+}
+
 /// Runs the future-work experiment: same universe, same budget, with and
-/// without the compression ladder, on the component-sharded solver.
+/// without the compression ladder, on the CELF plan.
 pub fn compare_remove_vs_compress(
     universe: &Universe,
     budget: u64,
     ladder: &ActionLadder,
     cfg: &RepresentationConfig,
 ) -> Result<CompressionComparison> {
-    compare_remove_vs_compress_with(universe, budget, ladder, cfg, true)
-}
-
-/// [`compare_remove_vs_compress`] with an explicit sharding choice (the
-/// CLI's `--no-sharding` parity knob; transcripts are bit-identical either
-/// way).
-pub fn compare_remove_vs_compress_with(
-    universe: &Universe,
-    budget: u64,
-    ladder: &ActionLadder,
-    cfg: &RepresentationConfig,
-    sharding: bool,
-) -> Result<CompressionComparison> {
     let base = represent(universe, budget, cfg)?;
-    let remove_only = main_algorithm_with(&base, sharding).best.score;
-    let ma = solve_multi_action(universe, budget, ladder, cfg, sharding)?;
+    let remove_only = main_algorithm_sharded(&base).best.score;
+    let ma = solve_multi_action(universe, budget, ladder, cfg, true)?;
     Ok(CompressionComparison {
         remove_only,
         with_compression: ma.score,

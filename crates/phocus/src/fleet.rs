@@ -35,38 +35,20 @@
 
 use crate::error::{PhocusError, Result};
 use crate::representation::{represent, RepresentationConfig};
-use par_algo::{
-    main_algorithm_packed, main_algorithm_scratch, main_algorithm_sharded, GreedyRule,
-    SolveScratch,
-};
-use par_core::{PackedInstance, PhotoId};
+use par_algo::{GreedyRule, MainOutcome, ShardedSolver, SolveScratch};
+use par_core::{Instance, PackedInstance, PhotoId, ShardLabels};
 use par_datasets::Universe;
 use par_exec::Parallelism;
 use std::time::{Duration, Instant};
 
 /// Configuration of a fleet batch run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FleetEngineConfig {
     /// Representation choices applied to every tenant.
     pub representation: RepresentationConfig,
     /// Worker threads for tenant dispatch (installed as the process-wide
     /// default for the duration of the batch, like a single PHOcus run).
     pub parallelism: Parallelism,
-    /// Draw per-tenant solver state from reusable arenas (default). Turning
-    /// this off allocates fresh evaluator/solver state per tenant — the
-    /// baseline the fleet bench compares against; outcomes are bit-identical
-    /// either way.
-    pub reuse_arenas: bool,
-}
-
-impl Default for FleetEngineConfig {
-    fn default() -> Self {
-        FleetEngineConfig {
-            representation: RepresentationConfig::default(),
-            parallelism: Parallelism::default(),
-            reuse_arenas: true,
-        }
-    }
 }
 
 /// One unit of fleet work: a tenant's library and its byte budget.
@@ -145,10 +127,9 @@ impl FleetEngine {
     /// Solves every tenant and returns the outcomes **in input order**.
     ///
     /// Tenants are scheduled largest-first across the worker pool; each
-    /// worker reuses one [`SolveScratch`] across all tenants it serves (when
-    /// [`FleetEngineConfig::reuse_arenas`] is on). Outcomes are bit-identical
-    /// to solving each tenant alone with [`crate::Phocus`] under the same
-    /// representation.
+    /// worker reuses one [`SolveScratch`] across all tenants it serves.
+    /// Outcomes are bit-identical to solving each tenant alone with
+    /// [`crate::Phocus`] under the same representation.
     pub fn run(&self, tenants: &[FleetTenant]) -> Vec<TenantOutcome> {
         let prev = self.config.parallelism.install_global();
         let outcomes = self.run_inner(tenants);
@@ -183,8 +164,8 @@ impl FleetEngine {
     /// Solves a batch of **pre-represented** tenants (catalog pack loads),
     /// outcomes in input order. Scheduling, arena reuse, and failure
     /// isolation match [`run`](Self::run); the per-tenant work drops the
-    /// representation pipeline and (with arena reuse on) the component
-    /// union-find, both of which the pack already paid at write time.
+    /// representation pipeline and the component union-find, both of which
+    /// the pack already paid at write time.
     /// Outcomes are bit-identical to [`run`](Self::run) over the universes
     /// the packs were built from, under the same representation.
     pub fn run_packed(&self, tenants: &[PackedTenant]) -> Vec<TenantOutcome> {
@@ -212,11 +193,7 @@ impl FleetEngine {
     fn solve_packed_tenant(&self, tenant: &PackedTenant, scratch: &mut SolveScratch) -> TenantOutcome {
         let t0 = Instant::now(); // phocus-lint: allow(wall-clock) — fills the reported latency field only
         let inst = &tenant.packed.instance;
-        let outcome = if self.config.reuse_arenas {
-            main_algorithm_packed(inst, tenant.packed.labels.clone(), scratch)
-        } else {
-            main_algorithm_sharded(inst)
-        };
+        let outcome = solve_in(inst, tenant.packed.labels.clone(), scratch);
         TenantOutcome {
             name: tenant.name.clone(),
             photos: inst.num_photos(),
@@ -236,11 +213,7 @@ impl FleetEngine {
             Ok(inst) => inst,
             Err(e) => return TenantOutcome::failed(tenant, e),
         };
-        let outcome = if self.config.reuse_arenas {
-            main_algorithm_scratch(&inst, scratch)
-        } else {
-            main_algorithm_sharded(&inst)
-        };
+        let outcome = solve_in(&inst, par_core::shard_labels(&inst), scratch);
         TenantOutcome {
             name: tenant.universe.name.clone(),
             photos: tenant.universe.num_photos(),
@@ -253,6 +226,15 @@ impl FleetEngine {
             latency: t0.elapsed(),
         }
     }
+}
+
+/// Algorithm 1 on one tenant through the CELF plan, every buffer drawn from
+/// (and returned to) the worker's `scratch`.
+fn solve_in(inst: &Instance, labels: ShardLabels, scratch: &mut SolveScratch) -> MainOutcome {
+    let solver = ShardedSolver::new_in_with_labels(inst, labels, scratch);
+    let outcome = solver.main_algorithm(scratch);
+    solver.recycle(scratch);
+    outcome
 }
 
 /// Budgets a fleet uniformly: each tenant gets `fraction` of its own
@@ -297,23 +279,34 @@ mod tests {
 
     #[test]
     fn arena_reuse_is_bit_identical_to_fresh_allocation() {
+        // One worker, so a single scratch serves every tenant: all but the
+        // first solve through a dirty scratch. Both the text and the packed
+        // path must match a fresh-allocation solve of each tenant.
         let tenants = small_fleet();
-        let with = |reuse_arenas: bool| {
-            FleetEngine::new(FleetEngineConfig {
-                reuse_arenas,
-                ..Default::default()
-            })
-            .run(&tenants)
-        };
-        let reused = with(true);
-        let fresh = with(false);
-        for (a, b) in reused.iter().zip(&fresh) {
-            let ra = a.result.as_ref().expect("fleet tenant solves");
-            let rb = b.result.as_ref().expect("fleet tenant solves");
-            assert_eq!(ra.selected, rb.selected);
-            assert_eq!(ra.score.to_bits(), rb.score.to_bits());
-            assert_eq!(ra.cost, rb.cost);
-            assert_eq!(ra.winner, rb.winner);
+        let representation = RepresentationConfig::default();
+        let engine = FleetEngine::new(FleetEngineConfig {
+            representation: representation.clone(),
+            parallelism: Parallelism::with_threads(1),
+        });
+        let mut packed = Vec::new();
+        let mut fresh = Vec::new();
+        for t in &tenants {
+            let inst = represent(&t.universe, t.budget, &representation).unwrap();
+            fresh.push(par_algo::main_algorithm_sharded(&inst));
+            let bytes = par_core::pack_instance(&inst).unwrap();
+            packed.push(PackedTenant {
+                name: t.universe.name.clone(),
+                packed: par_core::unpack_instance(&bytes).unwrap(),
+            });
+        }
+        for outcomes in [engine.run(&tenants), engine.run_packed(&packed)] {
+            for (o, f) in outcomes.iter().zip(&fresh) {
+                let r = o.result.as_ref().expect("fleet tenant solves");
+                assert_eq!(r.selected, f.best.selected);
+                assert_eq!(r.score.to_bits(), f.best.score.to_bits());
+                assert_eq!(r.cost, f.best.cost);
+                assert_eq!(r.winner, f.winner);
+            }
         }
     }
 

@@ -41,7 +41,7 @@ pub mod solver;
 pub mod suite;
 
 pub use compression::{
-    compare_remove_vs_compress, compare_remove_vs_compress_with, epsilon_free_score,
+    compare_remove_vs_compress, epsilon_free_score,
     expand_with_variants, multi_action_frontier, prune_and_refill, represent_with_variants,
     solve_multi_action, ActionLadder, CompressionComparison, CompressionLevel, FrontierPoint,
     MultiActionSolve, VariantMap, DEFAULT_LADDER,

@@ -2,7 +2,7 @@
 
 use crate::error::Result;
 use crate::representation::{represent, RepresentationConfig, Sparsification};
-use par_algo::{main_algorithm_with, online_bound, GreedyRule, OnlineBound, RunStats};
+use par_algo::{main_algorithm_sharded, online_bound, GreedyRule, OnlineBound, RunStats};
 use par_core::{Instance, PhotoId};
 use par_datasets::Universe;
 use par_exec::Parallelism;
@@ -10,7 +10,7 @@ use par_sparse::{sparsification_bound, SparsificationBound};
 use std::time::{Duration, Instant};
 
 /// Configuration of a full PHOcus run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PhocusConfig {
     /// The representation choices (contextualization, sparsification, …).
     pub representation: RepresentationConfig,
@@ -22,23 +22,6 @@ pub struct PhocusConfig {
     /// process-wide default for the duration of each run; the selection and
     /// scores are identical at every thread count.
     pub parallelism: Parallelism,
-    /// Solve through the component-sharded CELF driver (default on): the
-    /// instance is decomposed into photo–query connected components, each
-    /// running its own lazy stream under a budget-aware coordinator. The
-    /// selection transcript and score bits are identical to the global
-    /// solver at every thread count; only wall-clock differs.
-    pub sharding: bool,
-}
-
-impl Default for PhocusConfig {
-    fn default() -> Self {
-        PhocusConfig {
-            representation: RepresentationConfig::default(),
-            certify_sparsification: false,
-            parallelism: Parallelism::default(),
-            sharding: true,
-        }
-    }
 }
 
 /// The outcome of a PHOcus run.
@@ -109,7 +92,7 @@ impl Phocus {
 
     fn solve_instance_inner(&self, inst: &Instance, represent_time: Duration) -> PhocusReport {
         let t1 = Instant::now(); // phocus-lint: allow(wall-clock) — fills the reported timing field only
-        let outcome = main_algorithm_with(inst, self.config.sharding);
+        let outcome = main_algorithm_sharded(inst);
         let solve_time = t1.elapsed();
         let online = online_bound(inst, &outcome.best.selected);
         let sparsification = match (
@@ -192,23 +175,22 @@ mod tests {
     }
 
     #[test]
-    fn sharding_toggle_is_bit_identical() {
+    fn solve_matches_global_oracle() {
+        // The plan the facade solves through must reproduce the global
+        // CELF oracle on the represented instance bit for bit.
         let u = universe();
         let budget = u.total_cost() / 4;
-        let solve = |sharding: bool| {
-            Phocus::new(PhocusConfig {
-                representation: RepresentationConfig::phocus(0.7),
-                sharding,
-                ..Default::default()
-            })
-            .solve(&u, budget)
-            .unwrap()
-        };
-        let on = solve(true);
-        let off = solve(false);
-        assert_eq!(on.selected, off.selected);
-        assert_eq!(on.score.to_bits(), off.score.to_bits());
-        assert_eq!(on.cost, off.cost);
+        let representation = RepresentationConfig::phocus(0.7);
+        let on = Phocus::new(PhocusConfig {
+            representation: representation.clone(),
+            ..Default::default()
+        })
+        .solve(&u, budget)
+        .unwrap();
+        let off = par_algo::main_algorithm(&represent(&u, budget, &representation).unwrap());
+        assert_eq!(on.selected, off.best.selected);
+        assert_eq!(on.score.to_bits(), off.best.score.to_bits());
+        assert_eq!(on.cost, off.best.cost);
         assert_eq!(on.winner, off.winner);
     }
 

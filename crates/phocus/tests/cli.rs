@@ -317,31 +317,37 @@ fn compress_frontier_prints_curve() {
 }
 
 #[test]
-fn compress_sharded_matches_unsharded() {
-    let run = |extra: &[&str]| {
-        let mut args = vec![
-            "compress",
-            "--dataset",
-            "tiny",
-            "--budget-mb",
-            "1.5",
-            "--seed",
-            "4",
-        ];
-        args.extend_from_slice(extra);
-        let out = phocus(&args);
-        assert!(
-            out.status.success(),
-            "stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8_lossy(&out.stdout).to_string()
-    };
-    assert_eq!(
-        run(&[]),
-        run(&["--no-sharding"]),
-        "sharding must not change the compress report"
-    );
+fn hostile_budgets_exit_with_usage_code() {
+    // Negative, NaN, infinite and out-of-range budgets used to saturate to
+    // a 0-byte or u64::MAX budget and exit 0.
+    for verb in ["solve", "compress", "epochs", "suite"] {
+        for budget in ["-5", "NaN", "inf", "1e30"] {
+            let out = phocus(&[verb, "--dataset", "tiny", "--budget-mb", budget]);
+            assert_eq!(out.status.code(), Some(2), "{verb} --budget-mb {budget}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains("--budget-mb"), "{verb} {budget}: {stderr}");
+        }
+    }
+}
+
+#[test]
+fn unread_flags_exit_with_usage_code() {
+    // A misspelled flag must not silently solve at the default budget, and
+    // the retired path-selecting flags are rejected, not ignored.
+    // The unread flag comes right after the verb in each case.
+    let cases: [&[&str]; 5] = [
+        &["solve", "--budget_mb", "1", "--dataset", "tiny"],
+        &["solve", "--no-sharding", "--dataset", "tiny"],
+        &["compress", "--no-sharding", "--dataset", "tiny"],
+        &["serve-batch", "--fresh-arenas", "--list", "tenants.txt"],
+        &["serve-batch", "--fresh-arenas", "--catalog", "catalog"],
+    ];
+    for args in cases {
+        let out = phocus(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(args[1]), "{args:?}: {stderr}");
+    }
 }
 
 #[test]
@@ -470,22 +476,40 @@ fn serve_batch_missing_list_file_is_an_io_error() {
 
 #[test]
 fn serve_batch_fresh_arenas_matches_reused_arenas() {
+    // On one worker thread the second tenant of a batch is solved in the
+    // arenas the first one left behind; a one-tenant batch starts from
+    // fresh arenas. The solution columns must agree either way.
     let list = write_batch_fixture("arenas", &[]);
-    let run = |extra: &[&str]| {
-        let mut args = vec!["serve-batch", "--list", list.to_str().unwrap(), "--seed", "5"];
-        args.extend_from_slice(extra);
-        let out = phocus(&args);
-        assert!(out.status.success());
-        let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+    let solve = |list: &std::path::Path| {
+        let out = phocus(&[
+            "serve-batch",
+            "--list",
+            list.to_str().unwrap(),
+            "--seed",
+            "5",
+            "--threads",
+            "1",
+        ]);
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
         // Strip the timing columns — only the solution columns must match.
-        stdout
+        String::from_utf8_lossy(&out.stdout)
             .lines()
             .filter(|l| l.starts_with("ok\t"))
             .map(|l| l.rsplit_once("\tms=").unwrap().0.to_string())
             .collect::<Vec<_>>()
     };
-    let reused = run(&[]);
-    let fresh = run(&["--fresh-arenas"]);
+    let reused = solve(&list);
+    assert_eq!(reused.len(), 2, "both tenants solve: {reused:?}");
+    let mut fresh = Vec::new();
+    for (i, tenant) in std::fs::read_to_string(&list).unwrap().lines().enumerate() {
+        let one = list.parent().unwrap().join(format!("single{i}.txt"));
+        std::fs::write(&one, format!("{tenant}\n")).unwrap();
+        fresh.extend(solve(&one));
+    }
     assert_eq!(reused, fresh, "arena reuse must not change solutions");
     std::fs::remove_dir_all(list.parent().unwrap()).ok();
 }

@@ -88,7 +88,7 @@ fn transcript_hash(seed: u64, cfg: &RandomInstanceConfig) -> u64 {
         // The component-sharded driver promises a bit-identical transcript;
         // assert it against the same run the goldens pin (without folding new
         // bytes into the hash, so the pinned constants stay valid).
-        let sharded = par_algo::sharded_lazy_greedy(&inst, rule);
+        let sharded = par_algo::ShardedSolver::new(&inst).solve(rule);
         assert_eq!(sharded.selected, lazy.selected, "sharded vs lazy diverged");
         assert_eq!(
             sharded.score.to_bits(),
@@ -252,4 +252,96 @@ fn evaluator_kernels_are_bit_identical_serial_and_parallel() {
          (build features: parallel={})",
         par_exec::parallel_enabled()
     );
+}
+
+/// Folds the deterministic work counters of one solve into `h`.
+fn fold_counters(h: &mut Fnv, stats: &par_algo::RunStats) {
+    h.u64(stats.gain_evals);
+    h.u64(stats.sim_ops);
+    h.u64(stats.pq_pops);
+    h.u64(stats.lazy_accepts);
+}
+
+/// The work counters of cold sharded solves on each fixture, dense and
+/// τ-sparsified: how many gains, similarity reads, heap pops and lazy
+/// accepts the prepared solver spends per rule. Results are pinned by
+/// [`GOLDEN`]; these pin the *work*, so a refactor of the solver that keeps
+/// the transcript but changes what it recomputes shows up here.
+fn sharded_counter_hash(seed: u64, cfg: &RandomInstanceConfig) -> u64 {
+    let mut h = Fnv::new();
+    let inst = random_instance(seed, cfg);
+    for shape in [inst.clone(), inst.sparsify(0.8)] {
+        let solver = par_algo::ShardedSolver::new(&shape);
+        for rule in [GreedyRule::UnitCost, GreedyRule::CostBenefit] {
+            fold_counters(&mut h, &solver.solve(rule).stats);
+        }
+    }
+    h.0
+}
+
+/// The [`par_algo::EpochReport`] and per-rule work counters of a short
+/// epoch chain over each τ-sparsified fixture: replayed, live and
+/// went-live streams plus the gain evaluations each epoch paid.
+fn epoch_counter_hash(seed: u64, cfg: &RandomInstanceConfig) -> u64 {
+    let mut h = Fnv::new();
+    let base = random_instance(seed, cfg).sparsify(0.8);
+    let churn = par_datasets::ChurnConfig {
+        epochs: 4,
+        removal_fraction: 0.05,
+        arrivals_mean: 2.0,
+        drift_mean: 1.0,
+        budget_wobble: 0.1,
+        seed: seed ^ 0xC0DE,
+        ..Default::default()
+    };
+    let trace = par_datasets::generate_churn(&base, &churn).unwrap();
+    let mut solver = par_algo::IncrementalSolver::new(base);
+    for k in 0..=trace.epochs.len() {
+        if k > 0 {
+            let delta =
+                par_datasets::resolve_epoch(&trace.epochs[k - 1], solver.instance()).unwrap();
+            solver.apply_delta(&delta).unwrap();
+        }
+        let out = solver.resolve();
+        let report = *solver.last_report();
+        fold_counters(&mut h, &out.uc.stats);
+        fold_counters(&mut h, &out.cb.stats);
+        h.u64(report.num_shards as u64);
+        h.u64(report.replayed_streams as u64);
+        h.u64(report.live_streams as u64);
+        h.u64(report.went_live as u64);
+        h.u64(report.gain_evals);
+    }
+    h.0
+}
+
+/// Work-counter hashes recorded before the sharded and incremental
+/// coordinators were merged into one engine; same regeneration recipe.
+const COUNTER_GOLDEN: [u64; 3] = [0xf5b99f36e94f0f39, 0x3014e6d93fe7a4ed, 0xb113eb6d0f4efa3b];
+
+/// Epoch-chain counter hashes, recorded alongside [`COUNTER_GOLDEN`].
+const EPOCH_COUNTER_GOLDEN: [u64; 3] = [0x4aed50662d950baf, 0x8bca2d7edcf88ea8, 0x807b0118b764b851];
+
+#[test]
+fn work_counters_match_pinned_goldens() {
+    for threads in [1usize, 4] {
+        let prev = Parallelism::with_threads(threads).install_global();
+        for (k, (seed, cfg)) in fixture_configs().iter().enumerate() {
+            let solve = sharded_counter_hash(*seed, cfg);
+            let epochs = epoch_counter_hash(*seed, cfg);
+            if std::env::var("PRINT_TRANSCRIPTS").is_ok() {
+                println!("counter fixture {k}: 0x{solve:016x} epochs 0x{epochs:016x}");
+                continue;
+            }
+            assert_eq!(
+                solve, COUNTER_GOLDEN[k],
+                "fixture {k}: sharded work counters drifted"
+            );
+            assert_eq!(
+                epochs, EPOCH_COUNTER_GOLDEN[k],
+                "fixture {k}: epoch counters drifted"
+            );
+        }
+        prev.install_global();
+    }
 }

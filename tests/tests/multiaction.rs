@@ -128,3 +128,39 @@ fn empty_ladder_reproduces_remove_only_exactly() {
         assert_eq!(ma.kept_compressed, 0);
     }
 }
+
+/// The compress determinism differential, as a library test: on the P-1K
+/// dataset at 1 MB with the `0.85:0.35,0.55:0.10` ladder (the `ci.sh`
+/// compress gate's arguments), the plan and the global oracle must agree on
+/// both `phocus compress` solves — selections, score bits, kept counts and
+/// the retained actions the `--out` TSV lists.
+#[test]
+fn ci_ladder_plan_matches_global_oracle() {
+    let u = generate_openimages(&par_datasets::PublicScale::P1K.config(42));
+    let budget = 1_000_000;
+    let cfg = RepresentationConfig::default();
+    let ladder = ActionLadder::parse("0.85:0.35,0.55:0.10").expect("ladder parses");
+    for ladder in [ActionLadder::delete_only(), ladder] {
+        let plan = solve_multi_action(&u, budget, &ladder, &cfg, true).expect("plan solve");
+        let oracle = solve_multi_action(&u, budget, &ladder, &cfg, false).expect("oracle solve");
+        assert_eq!(plan.selected, oracle.selected, "selection diverged");
+        assert_eq!(
+            plan.score.to_bits(),
+            oracle.score.to_bits(),
+            "score bits diverged"
+        );
+        assert_eq!(plan.kept_original, oracle.kept_original);
+        assert_eq!(plan.kept_compressed, oracle.kept_compressed);
+        let actions = |s: &phocus::MultiActionSolve| -> Vec<(u32, Option<usize>)> {
+            s.selected
+                .iter()
+                .map(|p| (s.map.parent[p.index()], s.map.level[p.index()]))
+                .collect()
+        };
+        assert_eq!(
+            actions(&plan),
+            actions(&oracle),
+            "retained actions diverged"
+        );
+    }
+}

@@ -8,11 +8,19 @@
 //! format's canonicality: one instance, one byte image, pinned by a golden
 //! checksum.
 
-use par_algo::{main_algorithm_packed, main_algorithm_sharded, sharded_lazy_greedy, GreedyRule};
+use par_algo::{main_algorithm_sharded, GreedyRule, MainOutcome, ShardedSolver, SolveScratch};
 use par_core::fixtures::{random_instance, RandomInstanceConfig, SplitMix64};
 use par_core::{fnv1a64, pack_instance, unpack_instance, Evaluator, Instance, PhotoId, SubsetId};
 use par_exec::Parallelism;
 use proptest::prelude::*;
+
+/// Algorithm 1 on a loaded pack through the plan, with its persisted labels.
+fn solve_packed(loaded: &par_core::PackedInstance) -> MainOutcome {
+    let mut scratch = SolveScratch::default();
+    let solver =
+        ShardedSolver::new_in_with_labels(&loaded.instance, loaded.labels.clone(), &mut scratch);
+    solver.main_algorithm(&mut scratch)
+}
 
 /// FNV-1a, 64-bit: tiny, stable, dependency-free transcript hashing.
 struct Fnv(u64);
@@ -103,15 +111,14 @@ proptest! {
         let loaded = unpack_instance(&pack_instance(&inst).expect("packable")).expect("valid pack must load");
 
         for rule in [GreedyRule::UnitCost, GreedyRule::CostBenefit] {
-            let a = sharded_lazy_greedy(&inst, rule);
-            let b = sharded_lazy_greedy(&loaded.instance, rule);
+            let a = ShardedSolver::new(&inst).solve(rule);
+            let b = ShardedSolver::new(&loaded.instance).solve(rule);
             prop_assert_eq!(a.selected, b.selected);
             prop_assert_eq!(a.score.to_bits(), b.score.to_bits());
         }
 
         let a = main_algorithm_sharded(&inst);
-        let mut scratch = par_algo::SolveScratch::default();
-        let b = main_algorithm_packed(&loaded.instance, loaded.labels.clone(), &mut scratch);
+        let b = solve_packed(&loaded);
         prop_assert_eq!(a.best.selected, b.best.selected);
         prop_assert_eq!(a.best.score.to_bits(), b.best.score.to_bits());
         prop_assert_eq!(a.best.cost, b.best.cost);
@@ -144,8 +151,7 @@ fn loaded_solves_match_at_every_thread_count() {
     for threads in [1usize, 2, 8] {
         let prev = Parallelism::with_threads(threads).install_global();
         let a = main_algorithm_sharded(&inst);
-        let mut scratch = par_algo::SolveScratch::default();
-        let b = main_algorithm_packed(&loaded.instance, loaded.labels.clone(), &mut scratch);
+        let b = solve_packed(&loaded);
         prev.install_global();
         assert_eq!(a.best.selected, b.best.selected, "threads={threads}");
         assert_eq!(
