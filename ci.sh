@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Full local CI: build, test both feature configurations, lint.
+# Full local CI: build, lint, test, gates, and the benchmark's build.
 #
 #   ./ci.sh            # everything
 #
-# The `parallel` feature is default-on; the --no-default-features pass
-# proves the serial fallback builds and produces identical results (the
-# determinism suite pins golden transcript hashes shared by both builds).
+# There is one build configuration. Serial/parallel equivalence is a
+# runtime property: the determinism suite pins golden transcript hashes and
+# checks them at 1, 2 and 8 threads, and the CLI tests diff `--threads 1`
+# against `--threads 4` output.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -13,7 +14,7 @@ echo "==> cargo build --release"
 cargo build --release
 
 # Static analysis gates the test steps: determinism (float-ord, hash-iter,
-# wall-clock, reduce-order), layering (crate-dag, parallel-cfg), hygiene
+# wall-clock, reduce-order), layering (crate-dag), hygiene
 # (no-print, no-unsafe), and hot-path/pack-safety (alloc-hot, cast-bounds)
 # regressions fail fast with file:line spans. See DESIGN.md §12 and §17.
 echo "==> phocus-lint (workspace static analysis)"
@@ -29,17 +30,11 @@ head -c 32 /tmp/phocus_lint.json | grep -q '^{"version":2,"rules":\[' \
   || { echo "phocus-lint --json is not schema v2" >&2; exit 1; }
 cargo run --release -q -p par-lint -- rules | diff - lint-rules.txt
 
-echo "==> cargo test (default features: parallel)"
+echo "==> cargo test"
 cargo test -q
-
-echo "==> cargo test (--no-default-features: serial fallback)"
-cargo test -q --no-default-features
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
-
-echo "==> cargo clippy --all-targets --no-default-features -- -D warnings"
-cargo clippy --all-targets --no-default-features -- -D warnings
 
 # Panic-freedom gate: library and binary code must not contain unwrap/expect/
 # panic! on any path (internal invariants use assert!/unreachable! instead,
@@ -115,5 +110,13 @@ grep -q 'compressed renditions' /tmp/phocus_compress_a.txt
 
 echo "==> bench guard (recorded BENCH_*.json baselines)"
 cargo run --release -q -p par-bench --bin bench_guard
+
+# The verb-level benchmark (perfbench/) builds its probe against the
+# library's public API; compile and test it here so a library change that
+# breaks the benchmark fails CI. The probe's target directory is the one
+# perfbench/run.py uses; neither step writes under perfbench/.
+echo "==> perfbench probe build + unit tests"
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline -q --manifest-path perfbench/probe/Cargo.toml
+PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s perfbench -p 'test_*.py'
 
 echo "CI OK"

@@ -90,8 +90,8 @@
 //!
 //! The coordinator is sequential by nature (each accept must observe the
 //! previous one); the seed sweep is one `par-exec` batch, and heap *pop
-//! order* is fully determined by the entry ordering, so the serial fallback
-//! is transcript-identical.
+//! order* is fully determined by the entry ordering, so a serial run is
+//! transcript-identical.
 
 use crate::celf::Entry;
 use crate::main_alg::{pick_winner, MainOutcome};

@@ -148,7 +148,6 @@ fn bench_serve_batch(c: &mut Criterion) {
     let representation = representation();
     let engine = FleetEngine::new(FleetEngineConfig {
         representation: representation.clone(),
-        parallelism: Parallelism::serial(),
     });
 
     // Pre-parse the universe tenants once (the serve side re-represents per

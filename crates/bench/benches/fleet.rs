@@ -40,10 +40,7 @@ use par_core::{shard_labels, Instance, InstanceBuilder, PhotoId};
 use par_datasets::{generate_fleet, FleetConfig};
 use par_embed::{ContextVector, ContextualSimilarity};
 use par_exec::Parallelism;
-use phocus::{
-    budget_by_fraction, represent, FleetEngine, FleetEngineConfig, FleetTenant,
-    RepresentationConfig,
-};
+use phocus::{budget_by_fraction, represent, FleetEngine, FleetTenant, RepresentationConfig};
 
 /// The benchmark fleet: Zipf-heavy library sizes over a shared vocabulary.
 fn fleet_tenants() -> Vec<FleetTenant> {
@@ -112,11 +109,9 @@ fn naive_solve(t: &FleetTenant) -> f64 {
 }
 
 fn bench_fleet_batch(c: &mut Criterion) {
+    let prev = Parallelism::serial().install_global();
     let tenants = fleet_tenants();
-    let engine = FleetEngine::new(FleetEngineConfig {
-        parallelism: Parallelism::serial(),
-        ..Default::default()
-    });
+    let engine = FleetEngine::default();
     // The comparison is only honest if both pipelines produce the same
     // answers: the engine's kernelized represent + arena-reused solve must
     // match the naive per-pair/fresh-alloc pipeline bit for bit.
@@ -143,6 +138,7 @@ fn bench_fleet_batch(c: &mut Criterion) {
         })
     });
     group.finish();
+    prev.install_global();
 }
 
 fn bench_fleet_solver(c: &mut Criterion) {
@@ -174,14 +170,13 @@ fn bench_fleet_scaling(c: &mut Criterion) {
     let tenants = fleet_tenants();
     let mut group = c.benchmark_group("fleet_scaling");
     group.sample_size(10);
+    let engine = FleetEngine::default();
     for threads in [1usize, 2, 4] {
-        let engine = FleetEngine::new(FleetEngineConfig {
-            parallelism: Parallelism::with_threads(threads),
-            ..Default::default()
-        });
+        let prev = Parallelism::with_threads(threads).install_global();
         group.bench_function(BenchmarkId::new("reuse", format!("t{threads}")), |b| {
             b.iter(|| std::hint::black_box(engine.run(&tenants).len()))
         });
+        prev.install_global();
     }
     group.finish();
 }
@@ -190,11 +185,9 @@ fn bench_fleet_scaling(c: &mut Criterion) {
 /// the p50/p99 rows of `BENCH_fleet.json` are read off this line.
 fn bench_fleet_latency(c: &mut Criterion) {
     let tenants = fleet_tenants();
-    let engine = FleetEngine::new(FleetEngineConfig {
-        parallelism: Parallelism::serial(),
-        ..Default::default()
-    });
-    let outcomes = engine.run(&tenants);
+    let prev = Parallelism::serial().install_global();
+    let outcomes = FleetEngine::default().run(&tenants);
+    prev.install_global();
     let mut lat_ns: Vec<u128> = outcomes.iter().map(|o| o.latency.as_nanos()).collect();
     lat_ns.sort_unstable();
     let pct = |p: usize| lat_ns[(lat_ns.len() * p / 100).min(lat_ns.len() - 1)];

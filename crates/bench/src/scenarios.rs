@@ -138,9 +138,10 @@ pub fn scenario_parallel(scale: Scale, thread_counts: &[usize]) -> Vec<Series> {
         let solver = Phocus::new(PhocusConfig {
             representation: RepresentationConfig::default(),
             certify_sparsification: false,
-            parallelism: Parallelism::with_threads(t),
         });
+        let prev = Parallelism::with_threads(t).install_global();
         let report = solver.solve(&u, budget).expect("solver runs");
+        prev.install_global();
         match &reference {
             None => reference = Some((report.selected.clone(), report.score)),
             Some((sel, score)) => {

@@ -612,13 +612,15 @@ mod tests {
             Err(ModelError::ZeroCostPhoto(_))
         ));
 
-        let mut b = InstanceBuilder::new(5);
-        let p0 = b.add_photo("a", 1);
-        b.add_subset("q", -1.0, vec![p0], vec![]);
-        assert!(matches!(
-            b.build_with_provider(&UnitSimilarity),
-            Err(ModelError::InvalidWeight { .. })
-        ));
+        for weight in [-1.0, 0.0] {
+            let mut b = InstanceBuilder::new(5);
+            let p0 = b.add_photo("a", 1);
+            b.add_subset("q", weight, vec![p0], vec![]);
+            assert!(matches!(
+                b.build_with_provider(&UnitSimilarity),
+                Err(ModelError::InvalidWeight { .. })
+            ));
+        }
     }
 
     #[test]

@@ -557,7 +557,7 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Marginal gains of many candidates against the *same* solution state,
-    /// computed in parallel (serial without the `parallel` feature).
+    /// computed in parallel at the process-wide worker count.
     ///
     /// `out[i] == self.gain(candidates[i])` exactly — each per-candidate
     /// computation is independent and lands at its own index, so the result
@@ -880,7 +880,7 @@ mod tests {
         // path genuinely exercises concurrent gain queries.
         let prev = par_exec::Parallelism::with_threads(4).install_global();
         let batched = batch.batch_gains(&candidates);
-        par_exec::set_global_threads(prev.threads);
+        prev.install_global();
 
         assert_eq!(serial_gains.len(), batched.len());
         for (i, (s, b)) in serial_gains.iter().zip(&batched).enumerate() {

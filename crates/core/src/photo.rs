@@ -38,13 +38,14 @@ impl Photo {
     }
 }
 
-/// Formats a byte count using binary units, e.g. `1.5 MiB`.
+/// Formats a byte count using decimal units, e.g. `1.50 MB` for 1 500 000
+/// bytes — the megabyte that `--budget-mb` reads.
 pub fn format_bytes(bytes: u64) -> String {
-    const UNITS: [&str; 5] = ["B", "KiB", "MiB", "GiB", "TiB"];
+    const UNITS: [&str; 5] = ["B", "kB", "MB", "GB", "TB"];
     let mut value = bytes as f64;
     let mut unit = 0;
-    while value >= 1024.0 && unit < UNITS.len() - 1 {
-        value /= 1024.0;
+    while value >= 1000.0 && unit < UNITS.len() - 1 {
+        value /= 1000.0;
         unit += 1;
     }
     if unit == 0 {
@@ -67,8 +68,9 @@ mod tests {
     #[test]
     fn format_bytes_units() {
         assert_eq!(format_bytes(512), "512 B");
-        assert_eq!(format_bytes(2048), "2.00 KiB");
-        assert_eq!(format_bytes(3 * 1024 * 1024), "3.00 MiB");
-        assert_eq!(format_bytes(5 * 1024 * 1024 * 1024), "5.00 GiB");
+        assert_eq!(format_bytes(2048), "2.05 kB");
+        assert_eq!(format_bytes(3_000_000), "3.00 MB");
+        assert_eq!(format_bytes(5_000_000_000), "5.00 GB");
+        assert_eq!(format_bytes(7_250_000_000_000), "7.25 TB");
     }
 }

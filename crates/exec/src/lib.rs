@@ -19,19 +19,19 @@
 //!
 //! Every kernel in this crate is **bit-deterministic**: outputs are written
 //! into a pre-sized buffer at each item's own index, so the result is
-//! byte-identical to a serial `map` regardless of thread count, scheduling,
-//! or whether the `parallel` feature is enabled at all. Floating-point
-//! reductions ([`par_sum_f64`]) first materialize per-item terms in input
-//! order, then reduce sequentially — fixed order, identical rounding.
-//! Downstream, this is what makes `--features parallel` and
-//! `--no-default-features` builds select identical photo sets.
+//! byte-identical to a serial `map` regardless of thread count or
+//! scheduling. Floating-point reductions ([`par_sum_f64`]) first
+//! materialize per-item terms in input order, then reduce sequentially —
+//! fixed order, identical rounding. Downstream, this is what makes every
+//! `--threads` value select identical photo sets.
 //!
 //! ## Thread-count resolution
 //!
-//! Effective worker count = explicit argument (when using the `*_with`
-//! variants) → process-wide override ([`set_global_threads`]) → available
-//! hardware parallelism. A count of 1 short-circuits to the serial path;
-//! without the `parallel` feature everything is serial regardless.
+//! There is one knob: the process-wide [`Parallelism`], installed with
+//! [`Parallelism::install_global`] (the `phocus` binary does so once per
+//! verb from `--threads`). Effective worker count = that override →
+//! available hardware parallelism. A count of 1 short-circuits to the
+//! serial `(0..len).map(f)` path.
 
 #![forbid(unsafe_code)]
 
@@ -90,11 +90,6 @@ fn decode(raw: usize) -> Option<usize> {
     raw.checked_sub(1)
 }
 
-/// Sets the process-wide default worker count (`None` clears the override).
-pub fn set_global_threads(threads: Option<usize>) {
-    GLOBAL_THREADS.store(encode(threads), Ordering::Relaxed);
-}
-
 /// The process-wide default worker count override, if any.
 pub fn global_threads() -> Option<usize> {
     decode(GLOBAL_THREADS.load(Ordering::Relaxed))
@@ -128,7 +123,6 @@ pub fn available_threads() -> usize {
 /// Sized to the hardware parallelism but never below 2, so the cross-thread
 /// dispatch path is genuinely exercised (and testable) even on single-core
 /// runners; idle workers are parked and cost nothing.
-#[cfg(feature = "parallel")]
 fn pool() -> &'static scoped_pool::Pool {
     static POOL: OnceLock<scoped_pool::Pool> = OnceLock::new();
     POOL.get_or_init(|| scoped_pool::Pool::new(available_threads().max(2)))
@@ -137,19 +131,7 @@ fn pool() -> &'static scoped_pool::Pool {
 /// Whether the current thread is a pool worker. Kernels check this and take
 /// the serial path when nested, so workers never block on pool capacity.
 fn on_worker_thread() -> bool {
-    #[cfg(feature = "parallel")]
-    {
-        scoped_pool::current_thread_is_worker()
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        false
-    }
-}
-
-/// Whether this build includes the parallel backend.
-pub const fn parallel_enabled() -> bool {
-    cfg!(feature = "parallel")
+    scoped_pool::current_thread_is_worker()
 }
 
 /// Order-preserving parallel map over `0..len`, using the process-default
@@ -163,13 +145,13 @@ where
 }
 
 /// [`par_map_indexed`] with an explicit worker count (`None` = default).
-pub fn par_map_indexed_with<T, F>(threads: Option<usize>, len: usize, f: F) -> Vec<T>
+fn par_map_indexed_with<T, F>(threads: Option<usize>, len: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
     let workers = resolve_threads(threads).min(len.max(1));
-    if !parallel_enabled() || workers <= 1 || len < 2 || on_worker_thread() {
+    if workers <= 1 || len < 2 || on_worker_thread() {
         return (0..len).map(f).collect();
     }
     parallel_fill(workers, len, &f)
@@ -187,7 +169,7 @@ where
 }
 
 /// [`par_map_slice`] with an explicit worker count (`None` = default).
-pub fn par_map_slice_with<T, U, F>(threads: Option<usize>, items: &[T], f: F) -> Vec<U>
+fn par_map_slice_with<T, U, F>(threads: Option<usize>, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
@@ -231,14 +213,14 @@ where
 }
 
 /// [`par_map_dynamic`] with an explicit worker count (`None` = default).
-pub fn par_map_dynamic_with<S, T, M, F>(threads: Option<usize>, len: usize, make_state: M, f: F) -> Vec<T>
+fn par_map_dynamic_with<S, T, M, F>(threads: Option<usize>, len: usize, make_state: M, f: F) -> Vec<T>
 where
     T: Send,
     M: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> T + Sync,
 {
     let workers = resolve_threads(threads).min(len.max(1));
-    if !parallel_enabled() || workers <= 1 || len < 2 || on_worker_thread() {
+    if workers <= 1 || len < 2 || on_worker_thread() {
         let mut state = make_state();
         return (0..len).map(|i| f(&mut state, i)).collect();
     }
@@ -250,7 +232,6 @@ where
 /// locally; the merged pairs are sorted by index so the output order is
 /// independent of scheduling.
 // phocus-lint: hot-kernel — dispatch loop under every par_map_dynamic fan-out
-#[cfg(feature = "parallel")]
 fn parallel_dynamic<S, T, M, F>(workers: usize, len: usize, make_state: &M, f: &F) -> Vec<T>
 where
     T: Send,
@@ -290,27 +271,11 @@ where
     pairs.into_iter().map(|(_, v)| v).collect()
 }
 
-/// Serial stand-in compiled without the `parallel` feature; unreachable in
-/// practice (`parallel_enabled()` gates every call).
-// phocus-lint: hot-kernel — serial twin of the dispatch loop above
-#[cfg(not(feature = "parallel"))]
-fn parallel_dynamic<S, T, M, F>(_workers: usize, len: usize, make_state: &M, f: &F) -> Vec<T>
-where
-    T: Send,
-    M: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    let mut state = make_state();
-    // phocus-lint: allow(alloc-hot) — single sized pass producing the return value
-    (0..len).map(|i| f(&mut state, i)).collect()
-}
-
 /// Chunked fork/join writing into a pre-sized buffer, dispatched to the
 /// persistent worker pool. The chunk-assignment arithmetic (`len / workers`
 /// rounded up, chunk `w` starting at `w * chunk`) is the determinism-visible
 /// part and is identical to the original scoped-thread implementation; the
 /// caller runs chunk 0 inline while workers fill the rest.
-#[cfg(feature = "parallel")]
 fn parallel_fill<T, F>(workers: usize, len: usize, f: &F) -> Vec<T>
 where
     T: Send,
@@ -335,20 +300,7 @@ where
         .collect()
 }
 
-/// Serial stand-in compiled without the `parallel` feature; unreachable in
-/// practice (`parallel_enabled()` gates every call) but kept semantically
-/// identical.
-#[cfg(not(feature = "parallel"))]
-fn parallel_fill<T, F>(_workers: usize, len: usize, f: &F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    (0..len).map(f).collect()
-}
-
 /// Writes `f(start + k)` into `slots[k]` for one contiguous chunk.
-#[cfg(feature = "parallel")]
 fn fill_chunk<T, F>(slots: &mut [Option<T>], start: usize, f: &F)
 where
     F: Fn(usize) -> T,
@@ -399,14 +351,14 @@ mod tests {
     #[test]
     fn global_override_round_trips() {
         assert_eq!(global_threads(), None);
-        set_global_threads(Some(3));
+        Parallelism::with_threads(3).install_global();
         assert_eq!(global_threads(), Some(3));
         assert_eq!(resolve_threads(None), 3);
         assert_eq!(resolve_threads(Some(2)), 2);
         let prev = Parallelism::serial().install_global();
         assert_eq!(prev.threads, Some(3));
         assert_eq!(resolve_threads(None), 1);
-        set_global_threads(None);
+        Parallelism::default().install_global();
         assert_eq!(global_threads(), None);
     }
 

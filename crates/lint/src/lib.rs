@@ -31,7 +31,6 @@
 //! | `hash-iter`    | hash-iteration-order independence (PR 1/3 goldens)   |
 //! | `wall-clock`   | time-independent solver decisions                    |
 //! | `crate-dag`    | the declared crate layering (DESIGN §3)              |
-//! | `parallel-cfg` | the serial/parallel equivalence boundary (PR 1)      |
 //! | `no-print`     | silent library code; output via CLI/reporters only   |
 //! | `no-unsafe`    | `#![forbid(unsafe_code)]` everywhere but vendor      |
 //! | `ci-gate`      | metadata-derived panic-freedom gate coverage (PR 4)  |

@@ -1,5 +1,4 @@
-//! Architecture rules: the declared crate DAG and the `parallel` feature
-//! boundary.
+//! Architecture rule: the declared crate DAG.
 //!
 //! The declared DAG below is the machine-checked form of DESIGN.md §3
 //! ("Dependency edges (bottom-up)"). Adding a crate or an edge is a
@@ -7,14 +6,13 @@
 //! the layering change explicitly. An edge in a `Cargo.toml` that the table
 //! does not sanction fails CI with the manifest line in the span.
 
-use crate::context::{CrateCategory, FileContext};
 use crate::diag::Diagnostic;
 use crate::manifest::CrateManifest;
 
 /// Offline dependency shims under `crates/vendor/`, allowed everywhere.
 /// (`scoped-pool` is deliberately *not* here: the worker-pool backend is an
-/// explicit par-exec-only edge in the DAG, mirroring how
-/// `cfg(feature = "parallel")` is confined to par-exec.)
+/// explicit par-exec-only edge in the DAG, so every other crate reaches it
+/// only through the par-exec kernels.)
 pub const VENDOR_SHIMS: &[&str] = &["rand", "proptest", "criterion"];
 
 const ALL_LIBS: &[&str] = &[
@@ -38,8 +36,7 @@ pub fn declared_deps(name: &str) -> Option<&'static [&'static str]> {
         // Leaves.
         "par-search" | "par-lint" => &[],
         "rand" | "proptest" | "criterion" | "scoped-pool" => &[],
-        // The one crate allowed to hold the worker-pool backend (and the
-        // `parallel` feature gate).
+        // The one crate allowed to hold the worker-pool backend.
         "par-exec" => &["scoped-pool"],
         // Model and substrates.
         "par-core" => &["par-exec"],
@@ -101,38 +98,6 @@ pub fn check_dag(manifest_path: &str, m: &CrateManifest, out: &mut Vec<Diagnosti
                 m.name, dep.name, allowed
             ),
         });
-    }
-}
-
-/// `parallel-cfg`: the `parallel` feature gate may only be *tested* inside
-/// `par-exec` — every other crate forwards the feature in its manifest and
-/// calls `par_exec` kernels that fall back to serial. A stray
-/// `#[cfg(feature = "parallel")]` elsewhere forks behavior outside the
-/// audited serial/parallel equivalence boundary.
-pub fn parallel_cfg(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
-    if ctx.spec.crate_name == "par-exec" || ctx.spec.category == CrateCategory::Vendor {
-        return;
-    }
-    let code = &ctx.code;
-    for i in 0..code.len() {
-        let t = &code[i];
-        if t.is_ident("feature")
-            && i + 2 < code.len()
-            && code[i + 1].is_punct('=')
-            && code[i + 2].text.contains("parallel")
-        {
-            ctx.emit(
-                out,
-                "parallel-cfg",
-                t.line,
-                t.col,
-                "`cfg(feature = \"parallel\")` is confined to par-exec: other \
-                 crates must forward the feature in Cargo.toml and call \
-                 par_exec kernels (which fall back to serial), so the \
-                 serial/parallel equivalence stays auditable in one place"
-                    .to_string(),
-            );
-        }
     }
 }
 

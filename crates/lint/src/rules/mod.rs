@@ -6,9 +6,8 @@
 //!   [`determinism::wall_clock`], [`reduce_order`]: protect the bit-identical
 //!   solver transcripts (PR 1/3 goldens), the `total_cmp` discipline (PR 4),
 //!   and index-ordered float merges under parallel fan-out.
-//! * **architecture** — [`architecture::check_dag`],
-//!   [`architecture::parallel_cfg`]: keep the crate DAG acyclic and layered,
-//!   and the `parallel` feature confined to `par-exec` (PR 1).
+//! * **architecture** — [`architecture::check_dag`]: keep the crate DAG
+//!   acyclic and layered.
 //! * **performance/safety** — [`alloc_hot`], [`cast_bounds`]: arena
 //!   discipline inside annotated hot kernels and their crate-local callees,
 //!   and locally-evidenced narrowing casts in library code.
@@ -41,7 +40,6 @@ pub const RULES: &[&str] = &[
     "hash-iter",
     "wall-clock",
     "crate-dag",
-    "parallel-cfg",
     "no-print",
     "no-unsafe",
     "ci-gate",
@@ -58,7 +56,6 @@ pub fn run_file_rules(ctx: &FileContext<'_>) -> Vec<Diagnostic> {
     determinism::float_ord(ctx, &mut out);
     determinism::hash_iter(ctx, &mut out);
     determinism::wall_clock(ctx, &mut out);
-    architecture::parallel_cfg(ctx, &mut out);
     hygiene::no_print(ctx, &mut out);
     hygiene::no_unsafe(ctx, &mut out);
     out.extend(

@@ -47,28 +47,6 @@ fn wall_clock_fires_and_suppresses() {
 }
 
 #[test]
-fn parallel_cfg_fires_and_suppresses() {
-    let hits = lint(include_str!("../fixtures/parallel_cfg_violation.rs"));
-    assert_eq!(rules(&hits), ["parallel-cfg"], "{hits:#?}");
-    let clean = lint(include_str!("../fixtures/parallel_cfg_suppressed.rs"));
-    assert!(clean.is_empty(), "{clean:#?}");
-}
-
-#[test]
-fn parallel_cfg_is_exempt_in_par_exec() {
-    let hits = lint_source(
-        FileSpec {
-            path: "crates/exec/src/pool.rs",
-            crate_name: "par-exec",
-            category: CrateCategory::Library,
-            kind: FileKind::Lib,
-        },
-        include_str!("../fixtures/parallel_cfg_violation.rs"),
-    );
-    assert!(hits.is_empty(), "{hits:#?}");
-}
-
-#[test]
 fn no_print_fires_on_output_and_placeholders_and_suppresses() {
     let hits = lint(include_str!("../fixtures/no_print_violation.rs"));
     assert_eq!(rules(&hits), ["no-print", "no-print"], "{hits:#?}");

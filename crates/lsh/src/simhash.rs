@@ -106,7 +106,7 @@ impl SimHasher {
     }
 
     /// Signs a batch of vectors, fanning the independent per-vector work
-    /// across worker threads (serial without the `parallel` feature).
+    /// across the process-wide worker count.
     ///
     /// `out[i] == self.sign(vectors[i].as_ref())` exactly: signing reads
     /// only the shared hyperplanes, so the result is bit-identical to the

@@ -150,7 +150,9 @@ USAGE:
   phocus catalog ls <DIR>
 
 Every verb rejects a flag it does not read (exit 2). --budget-mb takes a
-  finite, non-negative number of megabytes (10^6 bytes).
+  finite, non-negative number of megabytes (10^6 bytes). --threads N sets
+  the worker count for the whole verb (0, the default, = all cores);
+  output is identical at every count.
 
 DATASETS: p1k p5k p10k p50k p100k ec-fashion ec-electronics ec-home file:<path>
   (EC datasets use the scaled-down generator; pass --paper-scale for full size)
@@ -444,12 +446,12 @@ fn cmd_solve(rest: &[String]) -> Result<(), CliError> {
         ],
         &["--paper-scale", "--ns"],
     )?;
+    Parallelism::with_threads(args.parse("--threads", 0)?).install_global();
     let dataset = args.required("--dataset")?;
     let budget = args.budget_mb(10.0)?;
     let seed: u64 = args.parse("--seed", 42)?;
     let representation = repr_from_flags(&args)?;
     let universe = load_dataset(&dataset, seed, args.flag("--paper-scale"))?;
-    let parallelism = Parallelism::with_threads(args.parse("--threads", 0usize)?);
     println!(
         "dataset {} — {} photos, {} subsets, archive {:.1} MB",
         universe.name,
@@ -457,18 +459,13 @@ fn cmd_solve(rest: &[String]) -> Result<(), CliError> {
         universe.num_subsets(),
         universe.total_cost() as f64 / 1e6
     );
-    // Represent once, under the requested thread count; the same instance
-    // is solved, rendered and written.
-    let prev = parallelism.install_global();
+    // Represent once; the same instance is solved, rendered and written.
     let t0 = std::time::Instant::now(); // phocus-lint: allow(wall-clock) — fills the reported represent time only
-    let represented = phocus::represent(&universe, budget, &representation);
+    let inst = phocus::represent(&universe, budget, &representation)?;
     let represent_time = t0.elapsed();
-    prev.install_global();
-    let inst = represented?;
     let solver = Phocus::new(PhocusConfig {
         representation,
         certify_sparsification: !args.flag("--ns"),
-        parallelism,
     });
     let report = solver.solve_instance(&inst, represent_time);
     print!("{}", render_report(&inst, &report));
@@ -500,14 +497,7 @@ fn cmd_compress(rest: &[String]) -> Result<(), CliError> {
         ],
         &["--paper-scale"],
     )?;
-    let threads: usize = args.parse("--threads", 0)?;
-    let prev = Parallelism::with_threads(threads).install_global();
-    let result = run_compress(&args);
-    prev.install_global();
-    result
-}
-
-fn run_compress(args: &Args<'_>) -> Result<(), CliError> {
+    Parallelism::with_threads(args.parse("--threads", 0)?).install_global();
     let dataset = args.required("--dataset")?;
     let budget = args.budget_mb(2.0)?;
     let seed: u64 = args.parse("--seed", 42)?;
@@ -669,12 +659,12 @@ fn cmd_serve_batch(rest: &[String]) -> Result<(), CliError> {
         "--seed",
     ];
     let args = Args::new("serve-batch", rest, &values, &["--ns"])?;
+    Parallelism::with_threads(args.parse("--threads", 0)?).install_global();
     let list = args.opt("--list").ok_or_else(|| {
         CliError::usage("missing --list (file of tenant universe paths, `-` for stdin)")
     })?;
     let budget_frac: f64 = args.parse("--budget-frac", 0.25)?;
     let budget = args.budget_mb(0.0)?;
-    let threads: usize = args.parse("--threads", 0)?;
     let out_dir = args.opt("--out-dir");
     if !(0.0..=1.0).contains(&budget_frac) || budget_frac.is_nan() {
         return Err(CliError::usage(format!(
@@ -710,10 +700,7 @@ fn cmd_serve_batch(rest: &[String]) -> Result<(), CliError> {
     let solvable: Vec<FleetTenant> = loaded.iter().filter_map(|t| t.as_ref().ok()).cloned().collect();
 
     let t0 = std::time::Instant::now(); // phocus-lint: allow(wall-clock) — fills the reported batch throughput line only
-    let engine = FleetEngine::new(FleetEngineConfig {
-        representation,
-        parallelism: Parallelism::with_threads(threads),
-    });
+    let engine = FleetEngine::new(FleetEngineConfig { representation });
     let outcomes = engine.run(&solvable);
     let batch_secs = t0.elapsed().as_secs_f64();
 
@@ -783,7 +770,7 @@ fn cmd_serve_batch(rest: &[String]) -> Result<(), CliError> {
 /// budgets and names from the resident index. Reporting, failure isolation,
 /// and exit codes mirror the universe-list path.
 fn serve_batch_catalog(args: &Args<'_>, dir: &str) -> Result<(), CliError> {
-    let threads: usize = args.parse("--threads", 0)?;
+    Parallelism::with_threads(args.parse("--threads", 0)?).install_global();
     let out_dir = args.opt("--out-dir");
     if let Some(d) = &out_dir {
         std::fs::create_dir_all(d).map_err(|e| PhocusError::Io {
@@ -812,7 +799,6 @@ fn serve_batch_catalog(args: &Args<'_>, dir: &str) -> Result<(), CliError> {
     let t0 = std::time::Instant::now(); // phocus-lint: allow(wall-clock) — fills the reported batch throughput line only
     let engine = FleetEngine::new(FleetEngineConfig {
         representation: RepresentationConfig::default(), // unused on the packed path
-        parallelism: Parallelism::with_threads(threads),
     });
     let outcomes = engine.run_packed(&solvable);
     let batch_secs = t0.elapsed().as_secs_f64();
@@ -1031,12 +1017,12 @@ fn cmd_epochs(rest: &[String]) -> Result<(), CliError> {
         "--seed",
     ];
     let args = Args::new("epochs", rest, &values, &["--check", "--paper-scale", "--ns"])?;
+    Parallelism::with_threads(args.parse("--threads", 0)?).install_global();
     let dataset = args.required("--dataset")?;
     let budget = args.budget_mb(10.0)?;
     let seed: u64 = args.parse("--seed", 42)?;
     let epochs_n: usize = args.parse("--epochs", 8)?;
     let churn: f64 = args.parse("--churn", 0.01)?;
-    let threads: usize = args.parse("--threads", 0)?;
     let check = args.flag("--check");
     if !(0.0..=1.0).contains(&churn) || churn.is_nan() {
         return Err(CliError::usage(format!(
@@ -1079,19 +1065,6 @@ fn cmd_epochs(rest: &[String]) -> Result<(), CliError> {
         println!("wrote trace to {out} ({} epochs)", trace.epochs.len());
     }
 
-    let prev = Parallelism::with_threads(threads).install_global();
-    let result = run_epochs(inst, &trace, check);
-    prev.install_global();
-    result
-}
-
-/// The epoch replay loop behind [`cmd_epochs`], separated so the ambient
-/// thread pool is restored on every exit path.
-fn run_epochs(
-    inst: par_core::Instance,
-    trace: &par_datasets::ChurnTrace,
-    check: bool,
-) -> Result<(), CliError> {
     let mut session = ArchiveSession::new(inst);
     let mut failed = 0usize;
     let total = trace.epochs.len();

@@ -38,7 +38,6 @@ use crate::representation::{represent, RepresentationConfig};
 use par_algo::{GreedyRule, MainOutcome, ShardedSolver, SolveScratch};
 use par_core::{Instance, PackedInstance, PhotoId, ShardLabels};
 use par_datasets::Universe;
-use par_exec::Parallelism;
 use std::time::{Duration, Instant};
 
 /// Configuration of a fleet batch run.
@@ -46,9 +45,6 @@ use std::time::{Duration, Instant};
 pub struct FleetEngineConfig {
     /// Representation choices applied to every tenant.
     pub representation: RepresentationConfig,
-    /// Worker threads for tenant dispatch (installed as the process-wide
-    /// default for the duration of the batch, like a single PHOcus run).
-    pub parallelism: Parallelism,
 }
 
 /// One unit of fleet work: a tenant's library and its byte budget.
@@ -126,18 +122,12 @@ impl FleetEngine {
 
     /// Solves every tenant and returns the outcomes **in input order**.
     ///
-    /// Tenants are scheduled largest-first across the worker pool; each
-    /// worker reuses one [`SolveScratch`] across all tenants it serves.
-    /// Outcomes are bit-identical to solving each tenant alone with
-    /// [`crate::Phocus`] under the same representation.
+    /// Tenants are scheduled largest-first across the worker pool (sized by
+    /// the process-wide [`par_exec::Parallelism`]); each worker reuses one
+    /// [`SolveScratch`] across all tenants it serves. Outcomes are
+    /// bit-identical to solving each tenant alone with [`crate::Phocus`]
+    /// under the same representation.
     pub fn run(&self, tenants: &[FleetTenant]) -> Vec<TenantOutcome> {
-        let prev = self.config.parallelism.install_global();
-        let outcomes = self.run_inner(tenants);
-        prev.install_global();
-        outcomes
-    }
-
-    fn run_inner(&self, tenants: &[FleetTenant]) -> Vec<TenantOutcome> {
         // Largest-first (LPT): descending photo count, ties by input order,
         // so the schedule is deterministic.
         let mut order: Vec<usize> = (0..tenants.len()).collect();
@@ -169,7 +159,6 @@ impl FleetEngine {
     /// Outcomes are bit-identical to [`run`](Self::run) over the universes
     /// the packs were built from, under the same representation.
     pub fn run_packed(&self, tenants: &[PackedTenant]) -> Vec<TenantOutcome> {
-        let prev = self.config.parallelism.install_global();
         let mut order: Vec<usize> = (0..tenants.len()).collect();
         order.sort_by(|&a, &b| {
             tenants[b]
@@ -185,9 +174,7 @@ impl FleetEngine {
                 (i, self.solve_packed_tenant(&tenants[i], scratch))
             });
         indexed.sort_unstable_by_key(|&(i, _)| i);
-        let outcomes = indexed.into_iter().map(|(_, o)| o).collect();
-        prev.install_global();
-        outcomes
+        indexed.into_iter().map(|(_, o)| o).collect()
     }
 
     fn solve_packed_tenant(&self, tenant: &PackedTenant, scratch: &mut SolveScratch) -> TenantOutcome {
@@ -279,14 +266,13 @@ mod tests {
 
     #[test]
     fn arena_reuse_is_bit_identical_to_fresh_allocation() {
-        // One worker, so a single scratch serves every tenant: all but the
-        // first solve through a dirty scratch. Both the text and the packed
-        // path must match a fresh-allocation solve of each tenant.
+        // One scratch serves every tenant, text then packed path, so all but
+        // the first solve run through a dirty scratch; so do the batch
+        // entry points. Each must match a fresh-allocation solve.
         let tenants = small_fleet();
         let representation = RepresentationConfig::default();
         let engine = FleetEngine::new(FleetEngineConfig {
             representation: representation.clone(),
-            parallelism: Parallelism::with_threads(1),
         });
         let mut packed = Vec::new();
         let mut fresh = Vec::new();
@@ -299,7 +285,12 @@ mod tests {
                 packed: par_core::unpack_instance(&bytes).unwrap(),
             });
         }
-        for outcomes in [engine.run(&tenants), engine.run_packed(&packed)] {
+        let mut scratch = SolveScratch::default();
+        let dirty: Vec<Vec<TenantOutcome>> = vec![
+            tenants.iter().map(|t| engine.solve_tenant(t, &mut scratch)).collect(),
+            packed.iter().map(|t| engine.solve_packed_tenant(t, &mut scratch)).collect(),
+        ];
+        for outcomes in dirty.into_iter().chain([engine.run(&tenants), engine.run_packed(&packed)]) {
             for (o, f) in outcomes.iter().zip(&fresh) {
                 let r = o.result.as_ref().expect("fleet tenant solves");
                 assert_eq!(r.selected, f.best.selected);
@@ -358,11 +349,10 @@ mod tests {
     fn thread_count_does_not_change_outcomes() {
         let tenants = small_fleet();
         let with = |threads: usize| {
-            FleetEngine::new(FleetEngineConfig {
-                parallelism: Parallelism::with_threads(threads),
-                ..Default::default()
-            })
-            .run(&tenants)
+            let prev = par_exec::Parallelism::with_threads(threads).install_global();
+            let outcomes = FleetEngine::default().run(&tenants);
+            prev.install_global();
+            outcomes
         };
         let serial = with(1);
         let parallel = with(4);

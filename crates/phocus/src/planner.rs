@@ -10,7 +10,6 @@
 use crate::error::{PhocusError, Result};
 use crate::representation::{represent, RepresentationConfig};
 use par_datasets::Universe;
-use par_exec::Parallelism;
 
 /// The outcome of a budget search.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,33 +29,10 @@ pub struct BudgetPlan {
 ///
 /// Returns an error from representation if the universe is invalid;
 /// `target_fraction` must be in `(0, 1]`. A target of exactly 1.0 returns
-/// the full archive cost (only full retention scores Σ W(q)).
+/// the full archive cost (only full retention scores Σ W(q)). The probes'
+/// parallel kernels follow the process-wide [`par_exec::Parallelism`]; the
+/// plan is identical at every thread count.
 pub fn minimal_budget(
-    universe: &Universe,
-    target_fraction: f64,
-    cfg: &RepresentationConfig,
-    tolerance: u64,
-) -> Result<BudgetPlan> {
-    minimal_budget_with(universe, target_fraction, cfg, tolerance, Parallelism::default())
-}
-
-/// [`minimal_budget`] with an explicit worker-thread configuration for the
-/// parallel kernels used by every probe. The plan is identical at every
-/// thread count; only wall-clock changes.
-pub fn minimal_budget_with(
-    universe: &Universe,
-    target_fraction: f64,
-    cfg: &RepresentationConfig,
-    tolerance: u64,
-    parallelism: Parallelism,
-) -> Result<BudgetPlan> {
-    let prev = parallelism.install_global();
-    let result = minimal_budget_inner(universe, target_fraction, cfg, tolerance);
-    prev.install_global();
-    result
-}
-
-fn minimal_budget_inner(
     universe: &Universe,
     target_fraction: f64,
     cfg: &RepresentationConfig,

@@ -2,23 +2,8 @@
 
 use crate::solver::PhocusReport;
 use crate::suite::SuiteResult;
+use par_core::photo::format_bytes;
 use par_core::Instance;
-
-/// Formats a byte count in binary units.
-fn fmt_bytes(bytes: u64) -> String {
-    const UNITS: [&str; 4] = ["B", "KiB", "MiB", "GiB"];
-    let mut v = bytes as f64;
-    let mut u = 0;
-    while v >= 1024.0 && u < UNITS.len() - 1 {
-        v /= 1024.0;
-        u += 1;
-    }
-    if u == 0 {
-        format!("{bytes} B")
-    } else {
-        format!("{v:.2} {}", UNITS[u])
-    }
-}
 
 /// Renders a solver report as a multi-line text block.
 pub fn render_report(inst: &Instance, report: &PhocusReport) -> String {
@@ -29,12 +14,12 @@ pub fn render_report(inst: &Instance, report: &PhocusReport) -> String {
         "photos: {}   subsets: {}   budget: {}\n",
         inst.num_photos(),
         inst.num_subsets(),
-        fmt_bytes(inst.budget())
+        format_bytes(inst.budget())
     ));
     out.push_str(&format!(
         "retained: {} photos, {} ({:.1}% of archive)\n",
         report.selected.len(),
-        fmt_bytes(report.cost),
+        format_bytes(report.cost),
         100.0 * report.cost as f64 / inst.total_cost().max(1) as f64,
     ));
     out.push_str(&format!(
@@ -73,7 +58,7 @@ pub fn render_suite(result: &SuiteResult) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "budget {}   max quality {:.2}\n",
-        fmt_bytes(result.budget),
+        format_bytes(result.budget),
         result.max_score
     ));
     out.push_str(&format!(
@@ -136,8 +121,14 @@ mod tests {
 
     #[test]
     fn bytes_formatting() {
-        assert_eq!(fmt_bytes(100), "100 B");
-        assert_eq!(fmt_bytes(2048), "2.00 KiB");
-        assert_eq!(fmt_bytes(5 * 1024 * 1024), "5.00 MiB");
+        // Reports use the decimal megabyte that `--budget-mb` reads.
+        let inst = par_core::fixtures::figure1_instance(3 * par_core::fixtures::MB);
+        let report = Phocus::default().solve_instance(&inst, std::time::Duration::ZERO);
+        let text = render_report(&inst, &report);
+        assert!(text.contains("budget: 3.00 MB\n"), "{text}");
+        let retained = format!("retained: {} photos, {} (", report.selected.len(), format_bytes(report.cost));
+        assert!(text.contains(&retained), "{text}");
+        assert_eq!(format_bytes(100), "100 B");
+        assert_eq!(format_bytes(2_000), "2.00 kB");
     }
 }

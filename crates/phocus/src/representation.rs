@@ -61,10 +61,6 @@ pub struct RepresentationConfig {
     pub normalize_per_context: bool,
     /// Similarity sparsification mode.
     pub sparsification: Sparsification,
-    /// Worker threads for similarity materialization: 0 = use all available
-    /// cores, 1 = strictly serial. Per-subset stores are independent, so
-    /// parallel and serial builds are bit-identical.
-    pub threads: usize,
 }
 
 impl Default for RepresentationConfig {
@@ -75,7 +71,6 @@ impl Default for RepresentationConfig {
             exif_weight: 0.0,
             normalize_per_context: false,
             sparsification: Sparsification::None,
-            threads: 1,
         }
     }
 }
@@ -216,20 +211,6 @@ fn dense_store_contextual(
     )
 }
 
-/// Materializes one store per subset, fanning the independent per-subset
-/// work across `threads` workers (0 = all cores, honoring the process-wide
-/// [`par_exec`] override). Results are ordered and bit-identical to a serial
-/// run; errors surface in subset order.
-fn map_sims_parallel<F>(subsets: &[Subset], threads: usize, f: F) -> par_core::Result<Vec<ContextSim>>
-where
-    F: Fn(&Subset) -> par_core::Result<ContextSim> + Sync,
-{
-    let threads = if threads == 0 { None } else { Some(threads) };
-    par_exec::par_map_slice_with(threads, subsets, &f)
-        .into_iter()
-        .collect()
-}
-
 /// Runs the Data Representation Module: turns a universe plus budget and
 /// representation choices into a validated, solvable instance.
 ///
@@ -243,21 +224,21 @@ pub fn represent(universe: &Universe, budget: u64, cfg: &RepresentationConfig) -
             let provider = contextual_provider(universe, cfg);
             let subsets = reconstruct_subsets(universe);
             let normalize = cfg.normalize_per_context;
-            let sims = map_sims_parallel(&subsets, cfg.threads, |q| {
+            let sims = subsets.iter().map(|q| {
                 Ok(ContextSim::Dense(dense_store_contextual(
                     q, &provider, normalize,
                 )?))
-            })?;
+            }).collect::<par_core::Result<Vec<_>>>()?;
             Ok(builder.build_with_sims(sims)?)
         }
         Sparsification::Threshold { tau } => {
             let provider = contextual_provider(universe, cfg);
             let subsets = reconstruct_subsets(universe);
             let normalize = cfg.normalize_per_context;
-            let sims = map_sims_parallel(&subsets, cfg.threads, |q| {
+            let sims = subsets.iter().map(|q| {
                 let dense = dense_store_contextual(q, &provider, normalize)?;
                 Ok(ContextSim::Sparse(dense.sparsify(tau)))
-            })?;
+            }).collect::<par_core::Result<Vec<_>>>()?;
             Ok(builder.build_with_sims(sims)?)
         }
         Sparsification::Lsh {
@@ -293,7 +274,7 @@ pub fn represent(universe: &Universe, budget: u64, cfg: &RepresentationConfig) -
             let dim = universe.embeddings.first().map(|e| e.dim()).unwrap_or(1);
             let hasher = par_lsh::SimHasher::new(dim, plan.total_bits(), seed);
 
-            let sims = map_sims_parallel(&subsets, cfg.threads, |q| {
+            let sims = subsets.iter().map(|q| {
                 let qi = q.id.index();
                 let ctx = &contexts[qi];
                 let n = q.members.len();
@@ -333,7 +314,7 @@ pub fn represent(universe: &Universe, budget: u64, cfg: &RepresentationConfig) -
                     // Sign and verify in parallel batches. Candidate pairs
                     // arrive sorted from the index, and the verified cosines
                     // are filtered in that same order, so the sparse store
-                    // is bit-identical to a serial build.
+                    // is bit-identical to a serial run.
                     let signatures: Vec<par_lsh::Signature> =
                         par_exec::par_map_slice(&vectors, |v| hasher.sign(v.as_slice()));
                     let index = par_lsh::LshIndex::build(&signatures, plan.rows, plan.bands);
@@ -352,7 +333,7 @@ pub fn represent(universe: &Universe, budget: u64, cfg: &RepresentationConfig) -
                     }
                 }
                 Ok(ContextSim::Sparse(SparseSim::from_pairs(q.id, n, pairs)?))
-            })?;
+            }).collect::<par_core::Result<Vec<_>>>()?;
             Ok(builder.build_with_sims(sims)?)
         }
     }
@@ -563,74 +544,5 @@ mod tests {
         u.required = vec![0, 1, 2];
         let tiny = u.costs[0] / 2;
         assert!(represent(&u, tiny, &RepresentationConfig::default()).is_err());
-    }
-}
-
-#[cfg(test)]
-mod parallel_tests {
-    use super::*;
-    use par_core::exact_score;
-    use par_datasets::{generate_openimages, OpenImagesConfig};
-
-    #[test]
-    fn parallel_build_matches_serial() {
-        let u = generate_openimages(&OpenImagesConfig {
-            name: "par".into(),
-            photos: 250,
-            target_subsets: 50,
-            seed: 77,
-            ..Default::default()
-        });
-        let budget = u.total_cost() / 4;
-        for sparsification in [Sparsification::None, Sparsification::Threshold { tau: 0.6 }] {
-            let serial = represent(
-                &u,
-                budget,
-                &RepresentationConfig {
-                    sparsification,
-                    threads: 1,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let parallel = represent(
-                &u,
-                budget,
-                &RepresentationConfig {
-                    sparsification,
-                    threads: 0,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(serial.stored_pairs(), parallel.stored_pairs());
-            let set: Vec<par_core::PhotoId> = (0..120).map(par_core::PhotoId).collect();
-            let a = exact_score(&serial, &set);
-            let b = exact_score(&parallel, &set);
-            assert!((a - b).abs() < 1e-12, "{sparsification:?}: {a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn explicit_thread_counts_work() {
-        let u = generate_openimages(&OpenImagesConfig {
-            name: "par2".into(),
-            photos: 100,
-            target_subsets: 20,
-            seed: 78,
-            ..Default::default()
-        });
-        for threads in [1usize, 2, 4] {
-            let inst = represent(
-                &u,
-                u.total_cost() / 3,
-                &RepresentationConfig {
-                    threads,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(inst.num_subsets(), u.num_subsets());
-        }
     }
 }

@@ -5,7 +5,6 @@ use crate::representation::{represent, RepresentationConfig, Sparsification};
 use par_algo::{main_algorithm_sharded, online_bound, GreedyRule, OnlineBound, RunStats};
 use par_core::{Instance, PhotoId};
 use par_datasets::Universe;
-use par_exec::Parallelism;
 use par_sparse::{sparsification_bound, SparsificationBound};
 use std::time::{Duration, Instant};
 
@@ -17,11 +16,6 @@ pub struct PhocusConfig {
     /// Compute the Theorem 4.8 certificate when sparsifying (adds a
     /// Budgeted-Max-Coverage run over the GFL graph).
     pub certify_sparsification: bool,
-    /// Worker threads for the parallel kernels (gain batches, SimHash
-    /// signing, sparsification, exact scoring). Installed as the
-    /// process-wide default for the duration of each run; the selection and
-    /// scores are identical at every thread count.
-    pub parallelism: Parallelism,
 }
 
 /// The outcome of a PHOcus run.
@@ -47,11 +41,17 @@ pub struct PhocusReport {
     pub represent_time: Duration,
     /// Wall-clock time of solving.
     pub solve_time: Duration,
-    /// Worker threads the run resolved to (1 = serial).
+    /// Worker threads the process-wide [`par_exec::Parallelism`] resolved
+    /// to for this run (1 = serial).
     pub threads: usize,
 }
 
 /// The PHOcus system: holds a configuration, solves universes.
+///
+/// The parallel kernels (gain batches, SimHash signing, sparsification,
+/// exact scoring) follow the process-wide [`par_exec::Parallelism`] the
+/// caller installed; the selection and scores are identical at every
+/// thread count.
 #[derive(Debug, Clone, Default)]
 pub struct Phocus {
     /// The run configuration.
@@ -71,26 +71,13 @@ impl Phocus {
     /// exceeds `budget`, surfacing as
     /// [`par_core::ModelError::RequiredSetOverBudget`]).
     pub fn solve(&self, universe: &Universe, budget: u64) -> Result<PhocusReport> {
-        let prev = self.config.parallelism.install_global();
-        let result = (|| {
-            let t0 = Instant::now(); // phocus-lint: allow(wall-clock) — fills the reported timing field only
-            let inst = represent(universe, budget, &self.config.representation)?;
-            let represent_time = t0.elapsed();
-            Ok(self.solve_instance_inner(&inst, represent_time))
-        })();
-        prev.install_global();
-        result
+        let t0 = Instant::now(); // phocus-lint: allow(wall-clock) — fills the reported timing field only
+        let inst = represent(universe, budget, &self.config.representation)?;
+        Ok(self.solve_instance(&inst, t0.elapsed()))
     }
 
     /// Solves an already-represented instance.
     pub fn solve_instance(&self, inst: &Instance, represent_time: Duration) -> PhocusReport {
-        let prev = self.config.parallelism.install_global();
-        let report = self.solve_instance_inner(inst, represent_time);
-        prev.install_global();
-        report
-    }
-
-    fn solve_instance_inner(&self, inst: &Instance, represent_time: Duration) -> PhocusReport {
         let t1 = Instant::now(); // phocus-lint: allow(wall-clock) — fills the reported timing field only
         let outcome = main_algorithm_sharded(inst);
         let solve_time = t1.elapsed();
@@ -115,7 +102,7 @@ impl Phocus {
             stored_pairs: inst.stored_pairs(),
             represent_time,
             solve_time,
-            threads: self.config.parallelism.resolve(),
+            threads: par_exec::resolve_threads(None),
         }
     }
 }
@@ -153,7 +140,6 @@ mod tests {
         let solver = Phocus::new(PhocusConfig {
             representation: RepresentationConfig::phocus(0.6),
             certify_sparsification: true,
-            ..Default::default()
         });
         let report = solver.solve(&u, u.total_cost() / 4).unwrap();
         let cert = report.sparsification.expect("certificate requested");

@@ -375,6 +375,69 @@ fn solve_writes_retained_list() {
     std::fs::remove_file(&out_path).ok();
 }
 
+/// Runs `args` plus `--threads N --out <file>` at each thread count and
+/// returns, per count, stdout without the lines `volatile` rejects, and the
+/// written file.
+fn runs_at_thread_counts(
+    tag: &str,
+    args: &[&str],
+    volatile: fn(&str) -> bool,
+) -> Vec<(String, String)> {
+    let out_path = std::env::temp_dir().join(format!("phocus_cli_{tag}.tsv"));
+    ["1", "4"]
+        .iter()
+        .map(|threads| {
+            let mut full = args.to_vec();
+            full.extend(["--threads", threads, "--out", out_path.to_str().unwrap()]);
+            let out = phocus(&full);
+            assert!(
+                out.status.success(),
+                "{tag} --threads {threads}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let stdout: String = String::from_utf8_lossy(&out.stdout)
+                .lines()
+                .filter(|l| !volatile(l))
+                .map(|l| format!("{l}\n"))
+                .collect();
+            let file = std::fs::read_to_string(&out_path).unwrap();
+            std::fs::remove_file(&out_path).ok();
+            (stdout, file)
+        })
+        .collect()
+}
+
+#[test]
+fn solve_and_compress_output_is_identical_at_1_and_4_threads() {
+    // The LSH default path of `solve`: only the wall-clock line may differ.
+    let solve = runs_at_thread_counts(
+        "threads_solve",
+        &["solve", "--dataset", "p1k", "--budget-mb", "1"],
+        |l| l.starts_with("time:"),
+    );
+    assert!(solve[0].0.contains("quality:"), "{}", solve[0].0);
+    assert_eq!(solve[0].0, solve[1].0, "solve stdout");
+    assert_eq!(solve[0].1, solve[1].1, "solve retained set");
+
+    // The dense path of `compress`: only the `wrote` lines may differ.
+    let compress = runs_at_thread_counts(
+        "threads_compress",
+        &[
+            "compress",
+            "--dataset",
+            "p1k",
+            "--budget-mb",
+            "1",
+            "--ladder",
+            "0.85:0.35,0.55:0.10",
+        ],
+        |l| l.starts_with("wrote"),
+    );
+    assert!(compress[0].0.contains("compressed renditions"), "{}", compress[0].0);
+    assert_eq!(compress[0].0, compress[1].0, "compress stdout");
+    assert_eq!(compress[0].1, compress[1].1, "compress actions");
+}
+
 /// Exports two small universes and writes a serve-batch list file naming
 /// them (plus any extra raw lines the caller appends).
 fn write_batch_fixture(tag: &str, extra_lines: &[&str]) -> std::path::PathBuf {

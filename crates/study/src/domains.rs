@@ -52,7 +52,6 @@ pub fn domain_study(
     let solver = Phocus::new(PhocusConfig {
         representation: repr,
         certify_sparsification: false,
-        ..Default::default()
     });
     let report = solver.solve_instance(&inst, Duration::ZERO);
     let phocus_sol = Solution::new_unchecked(&inst, report.selected.clone());

@@ -1,20 +1,18 @@
 //! Bit-level determinism of the parallel execution layer.
 //!
-//! The workspace promises that the `parallel` cargo feature changes only
-//! wall-clock, never results: every kernel (batch gain evaluation, exact
-//! scoring, SimHash signing, LSH candidate verification) produces the same
-//! bytes in serial and parallel builds, at every thread count.
+//! The workspace promises that the worker count changes only wall-clock,
+//! never results: every kernel (batch gain evaluation, exact scoring,
+//! SimHash signing, LSH candidate verification) produces the same bytes at
+//! every thread count.
 //!
 //! This test proves the promise two ways:
 //!
-//! 1. **runtime**: each fixture is solved under an installed serial
+//! 1. **pairwise**: each fixture is solved under an installed serial
 //!    `Parallelism` and again under four worker threads, and the two result
 //!    transcripts must hash identically;
-//! 2. **cross-build**: the transcript hashes are pinned as golden constants,
-//!    so running the suite with `--features parallel` and again with
-//!    `--no-default-features` checks both builds against the *same* bytes.
-//!    (The constants contain no `cfg` branches — a drift in either build
-//!    fails here.)
+//! 2. **pinned**: the transcript hashes are golden constants, checked at
+//!    1, 2 and 8 threads, so a drift at any thread count — or across
+//!    commits — fails here.
 
 use par_algo::{eager_greedy, lazy_greedy, GreedyRule};
 use par_core::fixtures::{random_instance, RandomInstanceConfig, SplitMix64};
@@ -75,8 +73,8 @@ fn fixture_configs() -> [(u64, RandomInstanceConfig); 3] {
 }
 
 /// Solves one fixture with both greedy variants plus an exact-score pass and
-/// an LSH pair sweep, folding every result bit into one hash. Independent of
-/// any `cfg`: the same bytes must come out of serial and parallel builds.
+/// an LSH pair sweep, folding every result bit into one hash. The same bytes
+/// must come out at every thread count.
 fn transcript_hash(seed: u64, cfg: &RandomInstanceConfig) -> u64 {
     let mut h = Fnv::new();
     let inst = random_instance(seed, cfg);
@@ -195,15 +193,13 @@ fn results_are_bit_identical_serial_and_parallel() {
     assert_eq!(
         hashes,
         GOLDEN,
-        "transcripts drifted from the pinned golden hashes \
-         (build features: parallel={})",
-        par_exec::parallel_enabled()
+        "transcripts drifted from the pinned golden hashes"
     );
 }
 
 /// The persistent worker pool must be invisible in results at *every* thread
-/// count: the same pinned goldens come out under the serial fallback and
-/// under pools of 2 and 8 parked workers. Running all counts in one process
+/// count: the same pinned goldens come out serially and under pools of 2
+/// and 8 parked workers. Running all counts in one process
 /// also exercises pool reconfiguration (grow/shrink between installs) — the
 /// chunk-assignment arithmetic, not the worker count, determines the bytes.
 #[test]
@@ -248,9 +244,7 @@ fn evaluator_kernels_are_bit_identical_serial_and_parallel() {
     assert_eq!(
         hashes,
         EVALUATOR_GOLDEN,
-        "evaluator transcripts drifted from the pinned golden hashes \
-         (build features: parallel={})",
-        par_exec::parallel_enabled()
+        "evaluator transcripts drifted from the pinned golden hashes"
     );
 }
 

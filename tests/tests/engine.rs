@@ -9,7 +9,16 @@
 //! * random dense, τ-sparsified and unit-similarity instances;
 //! * required photos under a tight budget;
 //! * an archive of singletons only (one frozen pool stream);
-//! * one giant component (one heap stream).
+//! * one giant component (one heap stream);
+//! * a required set `S₀` costing exactly the budget;
+//! * mass ties: equal costs, equal weights, uniform relevance and unit
+//!   similarities, so every gain comparison is decided by the tie-break;
+//! * duplicate photos whose similarity to each other is 1.0;
+//! * a 12-photo archive at every ascending-cost prefix-sum budget and one
+//!   byte below each (every cost breakpoint).
+//!
+//! Zero-weight subsets are not a shape: the builder rejects them with
+//! `ModelError::InvalidWeight`.
 //!
 //! The entry points: a cold [`ShardedSolver::solve`], `solve_scratch` through
 //! a scratch dirtied by every previous shape, `new_in_with_labels`,
@@ -22,8 +31,8 @@ use par_algo::{
     GreedyRule, IncrementalSolver, MainOutcome, ShardedSolver, SolveScratch,
 };
 use par_core::fixtures::{figure1_instance, random_instance, RandomInstanceConfig, MB};
-use par_core::UnitSimilarity;
 use par_core::{decompose, shard_labels, EpochDelta, Instance, InstanceBuilder, PhotoId};
+use par_core::{FnSimilarity, UnitSimilarity};
 
 const RULES: [GreedyRule; 2] = [GreedyRule::UnitCost, GreedyRule::CostBenefit];
 
@@ -62,7 +71,81 @@ fn shapes() -> Vec<(String, Instance)> {
     }
     shapes.push(("singletons".into(), all_singletons()));
     shapes.push(("giant".into(), giant_component()));
+    for seed in 0..2 {
+        let inst = random_instance(seed, &tight);
+        let exact = inst.with_budget(inst.required_cost()).unwrap();
+        assert!(exact.required_cost() > 0, "fixture must require photos");
+        shapes.push((format!("s0-at-budget/{seed}"), exact));
+    }
+    shapes.push(("mass-ties".into(), mass_ties()));
+    shapes.push(("duplicates".into(), duplicate_photos()));
+    let small = random_instance(
+        0xB4EA,
+        &RandomInstanceConfig {
+            photos: 12,
+            subsets: 5,
+            subset_size: (2, 5),
+            ..Default::default()
+        },
+    );
+    for budget in cost_breakpoints(&small) {
+        shapes.push((format!("breakpoint/{budget}"), small.with_budget(budget).unwrap()));
+    }
     shapes
+}
+
+/// Thirty photos of one cost in ten overlapping queries of one weight and
+/// uniform relevance, under unit similarities: every photo's first gain
+/// ties with several others, and so do most later ones.
+fn mass_ties() -> Instance {
+    let mut b = InstanceBuilder::new(9 * 10_000 + 5_000);
+    let photos: Vec<PhotoId> = (0..30).map(|k| b.add_photo(format!("t{k}"), 10_000)).collect();
+    for q in 0..10 {
+        let members = (0..6).map(|j| photos[(q * 3 + j) % 30]).collect();
+        b.add_subset(format!("q{q}"), 1.0, members, vec![]);
+    }
+    b.build_with_provider(&UnitSimilarity).unwrap()
+}
+
+/// Twelve distinct photos, each with a byte-for-byte duplicate (same cost,
+/// same queries) whose similarity to it is 1.0; other pairs are graded.
+fn duplicate_photos() -> Instance {
+    let mut b = InstanceBuilder::new(60_000);
+    let mut photos = Vec::new();
+    for k in 0..12u64 {
+        let cost = 4_000 + (k * 2_711) % 9_000;
+        photos.push(b.add_photo(format!("d{k}"), cost));
+        photos.push(b.add_photo(format!("d{k}-copy"), cost));
+    }
+    for q in 0..6usize {
+        let members = (0..8).map(|j| photos[(q * 4 + j) % photos.len()]).collect();
+        b.add_subset(format!("q{q}"), 1.0 + q as f64, members, vec![]);
+    }
+    b.build_with_provider(&FnSimilarity(|_, a: PhotoId, b: PhotoId| {
+        let (x, y) = (a.0 / 2, b.0 / 2);
+        if x == y {
+            1.0
+        } else {
+            1.0 / (1.0 + x.abs_diff(y) as f64)
+        }
+    }))
+    .unwrap()
+}
+
+/// Every feasible budget at which the greedy's cost frontier moves: the
+/// prefix sums of the photo costs in ascending order, and one byte below
+/// each (only those that still cover `S₀`).
+fn cost_breakpoints(inst: &Instance) -> Vec<u64> {
+    let mut costs: Vec<u64> = (0..inst.num_photos() as u32).map(|p| inst.cost(PhotoId(p))).collect();
+    costs.sort_unstable();
+    let mut budgets = Vec::new();
+    let mut sum = 0;
+    for c in costs {
+        sum += c;
+        budgets.extend([sum - 1, sum]);
+    }
+    budgets.retain(|&b| b >= inst.required_cost());
+    budgets
 }
 
 /// Forty photos, each alone in its own query: every photo is a singleton

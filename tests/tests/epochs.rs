@@ -12,8 +12,8 @@
 //!    [`main_algorithm_sharded`] on the post-delta instance — selections,
 //!    score bits, and winner rule — under serial, 2- and 8-thread pools.
 //! 3. **Pinned goldens**: full epoch-chain transcripts are hashed and
-//!    pinned as constants, so serial and parallel builds (and every thread
-//!    count) are checked against the same bytes across compilations.
+//!    pinned as constants, so every thread count is checked against the
+//!    same bytes across compilations.
 
 use par_algo::{main_algorithm_sharded, GreedyRule, IncrementalSolver};
 use par_core::fixtures::{random_instance, RandomInstanceConfig};
@@ -233,9 +233,7 @@ const EPOCH_GOLDEN: [u64; 3] = [
 ];
 
 /// The epoch chains must produce the same bytes at every pool size, and
-/// those bytes are pinned: running the suite with `--features parallel`
-/// and with `--no-default-features` checks both builds against the same
-/// constants.
+/// those bytes are pinned constants.
 #[test]
 fn epoch_chains_share_pinned_goldens_at_all_thread_counts() {
     for threads in [1usize, 2, 8] {
@@ -250,9 +248,7 @@ fn epoch_chains_share_pinned_goldens_at_all_thread_counts() {
             }
             assert_eq!(
                 hash, EPOCH_GOLDEN[k],
-                "fixture {k}: epoch transcript drifted under pool threads={threads} \
-                 (build features: parallel={})",
-                par_exec::parallel_enabled()
+                "fixture {k}: epoch transcript drifted under pool threads={threads}"
             );
         }
         prev.install_global();

@@ -8,7 +8,7 @@
 //!    its parent's connected component — the decomposition never splits a
 //!    variant family;
 //! 2. on expanded instances the sharded solver's transcript is bit-identical
-//!    to the global one, under the serial build and at 1/2/8 worker threads;
+//!    to the global one at 1/2/8 worker threads;
 //! 3. the degenerate (empty) ladder reproduces remove-only archival exactly,
 //!    bit for bit.
 

@@ -75,7 +75,6 @@ fn ecommerce_pipeline_with_required_photos() {
     let solver = Phocus::new(PhocusConfig {
         representation: RepresentationConfig::phocus(0.5),
         certify_sparsification: true,
-        ..Default::default()
     });
     let report = solver.solve(&u, budget).unwrap();
     // Required photos retained.
