@@ -36,6 +36,11 @@ cargo test -q
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
+# Rustdoc gate: a public doc linking a deleted or private item is a broken
+# intra-doc link; nothing else checks them.
+echo "==> rustdoc (-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline -q
+
 # Panic-freedom gate: library and binary code must not contain unwrap/expect/
 # panic! on any path (internal invariants use assert!/unreachable! instead,
 # data-dependent failures return typed errors). Tests, benches, the examples

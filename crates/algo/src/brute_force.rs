@@ -11,7 +11,6 @@
 use crate::main_alg::main_algorithm;
 use crate::types::{GreedyOutcome, RunStats};
 use par_core::{Evaluator, Instance, PhotoId};
-use std::time::Instant;
 
 /// Configuration for [`brute_force`].
 #[derive(Debug, Clone)]
@@ -164,7 +163,6 @@ pub fn brute_force_anytime(
             limit: cfg.max_photos,
         });
     }
-    let start = Instant::now(); // phocus-lint: allow(wall-clock) — fills the reported timing field only
 
     // Warm start: Algorithm 1's solution is a strong incumbent that makes
     // the fractional-knapsack bound prune aggressively.
@@ -209,7 +207,6 @@ pub fn brute_force_anytime(
                 sim_ops: 0,
                 pq_pops: search.nodes,
                 lazy_accepts: 0,
-                elapsed: start.elapsed(),
             },
         },
         exact,

@@ -115,17 +115,6 @@ impl IncrementalSolver {
     /// runs every stream live (there is nothing to replay yet).
     pub fn new(inst: Instance) -> Self {
         let labels = shard_labels(&inst);
-        Self::with_labels(inst, labels)
-    }
-
-    /// [`new`](Self::new) with the component labeling already known — the
-    /// epoch-0 warm start of a catalog-backed session, where the instance
-    /// and its labels arrive together from a `phocus-pack` file and the
-    /// union-find pass is skipped. The labels must equal
-    /// `shard_labels(&inst)` (the pack writer derives them exactly so; a
-    /// debug build cross-checks).
-    pub fn with_labels(inst: Instance, labels: ShardLabels) -> Self {
-        debug_assert_eq!(labels, shard_labels(&inst));
         let num_photos = inst.num_photos();
         let num_shards = labels.num_shards();
         IncrementalSolver {

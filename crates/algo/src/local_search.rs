@@ -11,7 +11,6 @@
 
 use crate::types::{GreedyOutcome, RunStats};
 use par_core::{exact_score, Evaluator, Instance, PhotoId};
-use std::time::Instant;
 
 /// Configuration for [`swap_local_search`].
 #[derive(Debug, Clone)]
@@ -43,7 +42,6 @@ pub fn swap_local_search(
     initial: &[PhotoId],
     cfg: &LocalSearchConfig,
 ) -> GreedyOutcome {
-    let start = Instant::now(); // phocus-lint: allow(wall-clock) — fills the reported timing field only
     let budget = inst.budget();
     let mut ev = Evaluator::new(inst);
     for &p in initial {
@@ -106,7 +104,6 @@ pub fn swap_local_search(
             sim_ops: stats.sim_ops,
             pq_pops: swaps,
             lazy_accepts: 0,
-            elapsed: start.elapsed(),
         },
     }
 }

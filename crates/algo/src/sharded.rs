@@ -101,7 +101,6 @@ use par_core::components::{decompose, Decomposition, ShardLabels};
 use par_core::{ContextSim, EvalArena, EvalStats, Evaluator, Instance, PhotoId, SubsetId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::time::Instant;
 
 /// Reusable solver buffers: the evaluator arenas, per-shard stream entry
 /// buffers, staleness stamps, and the change-tracking list.
@@ -594,7 +593,6 @@ impl<'a> ShardedSolver<'a> {
         scratch: &mut SolveScratch,
         transcripts: Option<&[Option<RuleCache>]>,
     ) -> EngineRun {
-        let start = Instant::now(); // phocus-lint: allow(wall-clock) — fills the reported timing field only
         let inst = self.inst;
         let dec = &self.dec;
         let pool = dec.singleton_pool();
@@ -775,7 +773,6 @@ impl<'a> ShardedSolver<'a> {
                 sim_ops: st.sim_ops - self.base_stats.sim_ops,
                 pq_pops,
                 lazy_accepts,
-                elapsed: start.elapsed(),
             },
         };
         ev.recycle(&mut scratch.solve_eval);

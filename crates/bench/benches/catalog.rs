@@ -4,7 +4,7 @@
 //! restart, every tenant migration, every scale-out re-parses tenant
 //! universes from text, re-runs the representation pipeline (relevance
 //! normalization, contextual similarity, LSH sparsification), and re-derives
-//! solver structure (component labels, fused evaluator weights). The
+//! solver structure (component labels). The
 //! `phocus-pack` format persists exactly those hot structures — validated
 //! once at write time, loaded by length-checked bulk copies — so a catalog
 //! restart costs file reads plus checksums instead of the whole pipeline.
@@ -17,8 +17,8 @@
 //!   disk, so the pair isolates compute). The headline `bench_guard` floor
 //!   row comes from this pair.
 //! * `catalog_serve_batch` — the end-to-end fleet serve: load every tenant
-//!   and solve it, universe path (`FleetEngine::run`, which represents) vs
-//!   catalog path (`FleetEngine::run_packed` over loaded packs).
+//!   and solve it through `FleetEngine::run`: library tenants (which
+//!   represent) vs packed tenants loaded off the catalog images.
 //!
 //! Both pairs assert bit-identical solver outcomes between the paths before
 //! timing — the pack load must be a *free* cold start, not a different one.
@@ -28,8 +28,8 @@ use par_core::{pack_instance, unpack_instance, Instance};
 use par_datasets::{from_text, generate_fleet, to_text, FleetConfig, Universe};
 use par_exec::Parallelism;
 use phocus::{
-    budget_by_fraction, represent, FleetEngine, FleetEngineConfig, FleetTenant, PackedTenant,
-    RepresentationConfig, Sparsification,
+    fraction_budget, represent, FleetEngine, FleetEngineConfig, FleetTenant, RepresentationConfig,
+    Sparsification,
 };
 
 /// The 96-tenant fleet corpus (12–240 photos per tenant, shared label
@@ -66,15 +66,16 @@ struct TenantImages {
 
 fn tenant_images() -> Vec<TenantImages> {
     let representation = representation();
-    budget_by_fraction(fleet_universes(), 0.25)
+    fleet_universes()
         .into_iter()
-        .map(|t| {
-            let inst = represent(&t.universe, t.budget, &representation)
-                .expect("bench corpus represents");
+        .map(|universe| {
+            let budget = fraction_budget(universe.total_cost(), 0.25);
+            let inst =
+                represent(&universe, budget, &representation).expect("bench corpus represents");
             TenantImages {
-                text: to_text(&t.universe),
+                text: to_text(&universe),
                 pack: pack_instance(&inst).expect("bench corpus packs"),
-                budget: t.budget,
+                budget,
             }
         })
         .collect()
@@ -156,7 +157,7 @@ fn bench_serve_batch(c: &mut Criterion) {
         .iter()
         .map(|i| {
             let universe = from_text(&i.text).expect("bench tenant parses");
-            FleetTenant {
+            FleetTenant::Library {
                 universe,
                 budget: i.budget,
             }
@@ -165,16 +166,18 @@ fn bench_serve_batch(c: &mut Criterion) {
 
     // Equivalence before timing: the catalog serve must report the same
     // per-tenant solutions as the universe serve.
+    let packed_tenants = || -> Vec<FleetTenant> {
+        images
+            .iter()
+            .zip(&tenants)
+            .map(|(i, t)| FleetTenant::Packed {
+                name: t.name().to_string(),
+                packed: unpack_instance(&i.pack).expect("bench pack loads"),
+            })
+            .collect()
+    };
     let from_universe = engine.run(&tenants);
-    let packed: Vec<PackedTenant> = images
-        .iter()
-        .zip(&tenants)
-        .map(|(i, t)| PackedTenant {
-            name: t.universe.name.clone(),
-            packed: unpack_instance(&i.pack).expect("bench pack loads"),
-        })
-        .collect();
-    let from_catalog = engine.run_packed(&packed);
+    let from_catalog = engine.run(&packed_tenants());
     for (a, b) in from_universe.iter().zip(&from_catalog) {
         let (ra, rb) = (
             a.result.as_ref().expect("universe tenant solves"),
@@ -190,17 +193,7 @@ fn bench_serve_batch(c: &mut Criterion) {
         b.iter(|| black_box(engine.run(&tenants).len()))
     });
     group.bench_function("catalog_serve", |b| {
-        b.iter(|| {
-            let packed: Vec<PackedTenant> = images
-                .iter()
-                .zip(&tenants)
-                .map(|(i, t)| PackedTenant {
-                    name: t.universe.name.clone(),
-                    packed: unpack_instance(&i.pack).expect("bench pack loads"),
-                })
-                .collect();
-            black_box(engine.run_packed(&packed).len())
-        })
+        b.iter(|| black_box(engine.run(&packed_tenants()).len()))
     });
     group.finish();
     prev.install_global();

@@ -37,7 +37,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use par_algo::{main_algorithm_sharded, online_bound, ShardedSolver, SolveScratch};
 use par_core::{shard_labels, Instance, InstanceBuilder, PhotoId};
-use par_datasets::{generate_fleet, FleetConfig};
+use par_datasets::{generate_fleet, FleetConfig, Universe};
 use par_embed::{ContextVector, ContextualSimilarity};
 use par_exec::Parallelism;
 use phocus::{budget_by_fraction, represent, FleetEngine, FleetTenant, RepresentationConfig};
@@ -54,11 +54,22 @@ fn fleet_tenants() -> Vec<FleetTenant> {
     budget_by_fraction(universes, 0.25)
 }
 
+/// A benchmark tenant's library and budget (every tenant here is one).
+fn library(t: &FleetTenant) -> (&Universe, u64) {
+    match t {
+        FleetTenant::Library { universe, budget } => (universe, *budget),
+        FleetTenant::Packed { .. } => unreachable!("the benchmark fleet is all libraries"),
+    }
+}
+
 /// Pre-represented instances, so `fleet_solver` times nothing but solving.
 fn represented(tenants: &[FleetTenant]) -> Vec<Instance> {
     tenants
         .iter()
-        .map(|t| represent(&t.universe, t.budget, &RepresentationConfig::default()).unwrap())
+        .map(|t| {
+            let (universe, budget) = library(t);
+            represent(universe, budget, &RepresentationConfig::default()).unwrap()
+        })
         .collect()
 }
 
@@ -78,7 +89,7 @@ fn plan_score(inst: &Instance, scratch: &mut SolveScratch) -> f64 {
 /// `Phocus::solve` pays. Returns the winning score for the equivalence
 /// assertion.
 fn naive_solve(t: &FleetTenant) -> f64 {
-    let u = &t.universe;
+    let (u, budget) = library(t);
     let dim = u.embeddings.first().map(|e| e.dim()).unwrap_or(1);
     let contexts: Vec<ContextVector> = u
         .subsets
@@ -86,7 +97,7 @@ fn naive_solve(t: &FleetTenant) -> f64 {
         .map(|s| ContextVector::from_label(dim, &s.label))
         .collect();
     let provider = ContextualSimilarity::new(u.embeddings.clone(), contexts);
-    let mut b = InstanceBuilder::new(t.budget);
+    let mut b = InstanceBuilder::new(budget);
     for (name, &cost) in u.names.iter().zip(&u.costs) {
         b.add_photo(name.clone(), cost);
     }
@@ -202,7 +213,7 @@ fn bench_fleet_latency(c: &mut Criterion) {
     // Anchor a criterion row on the median-sized tenant so the latency
     // group also leaves a machine-readable trace in CRITERION_JSON.
     let mut order: Vec<usize> = (0..tenants.len()).collect();
-    order.sort_by_key(|&i| tenants[i].universe.num_photos());
+    order.sort_by_key(|&i| tenants[i].num_photos());
     let median = &tenants[order[order.len() / 2]];
     let inst = represented(std::slice::from_ref(median));
     let mut group = c.benchmark_group("fleet_latency");

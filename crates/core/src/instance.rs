@@ -315,7 +315,7 @@ impl Instance {
     /// already length- and range-checked every array against the section
     /// table.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_packed_parts(
+    pub(crate) fn from_pack_parts(
         photos: Vec<Photo>,
         required_ids: Vec<PhotoId>,
         required_cost: u64,

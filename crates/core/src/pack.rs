@@ -1,22 +1,20 @@
-//! `phocus-pack` v1: a versioned, checksummed binary instance format.
+//! `phocus-pack` v2: a versioned, checksummed binary instance format.
 //!
 //! Every `phocus` entry point used to cold-start through text parse →
 //! builder → validate → arena derivation. The PR 2 refactor made every hot
 //! structure a flat SoA/CSR arena, so this module serializes **exactly
 //! those arenas** — photo/subset tables, the membership reverse-index CSR,
-//! per-subset [`DenseSim`]/[`SparseSim`] stores, the fused `W(q)·R(q,j)`
-//! evaluator weights, and the component shard labels — into a section file
-//! with *validate-once-at-write* semantics:
+//! per-subset [`DenseSim`]/[`SparseSim`] stores, and the component shard
+//! labels — into a section file with *validate-once-at-write* semantics:
 //!
 //! * [`pack_instance`] takes an already-validated [`Instance`] (the builder
 //!   or the representation pipeline has normalized and checked everything),
-//!   derives the evaluator layout and shard labels once, and writes every
-//!   arena verbatim.
+//!   derives the shard labels once, and writes every arena verbatim.
 //! * [`unpack_instance`] parses a fixed-size header and an O(1) section
 //!   table, verifies one FNV-1a checksum per section, and reconstructs the
-//!   [`Instance`], [`EvalLayout`], and [`ShardLabels`] by length-checked
-//!   bulk copies. **No re-derivation, re-sorting, re-normalization, or
-//!   model re-validation** happens on the load path — the only per-element
+//!   [`Instance`] and its [`ShardLabels`] by length-checked bulk copies.
+//!   **No re-derivation, re-sorting, re-normalization, or model
+//!   re-validation** happens on the load path — the only per-element
 //!   work is integrity checking of the container itself (monotone offsets,
 //!   in-range indices, UTF-8 names), which keeps a corrupted file a typed
 //!   [`PackError`] instead of a later panic.
@@ -24,12 +22,12 @@
 //! # File layout (all integers little-endian)
 //!
 //! ```text
-//! header    magic "PHOCPAK1" (8 bytes) · version u32 (= 1) · section_count u32
+//! header    magic "PHOCPAK1" (8 bytes) · version u32 (= 2) · section_count u32
 //! table     section_count × { kind u32 · reserved u32 · offset u64 · len u64 · fnv1a64 u64 }
 //! payloads  concatenated section bytes, ascending offsets, no gaps/overlap
 //! ```
 //!
-//! The nine mandatory sections are listed in [`kind`]; the full field-level
+//! The eight mandatory sections are listed in [`kind`]; the full field-level
 //! spec lives in `DESIGN.md` §15. Section lengths are validated against the
 //! file size *before* any allocation, and every element count inside a
 //! section is validated against the section's remaining bytes before its
@@ -43,7 +41,6 @@
 
 use crate::ids::{PhotoId, SubsetId};
 use crate::instance::{Instance, Membership};
-use crate::objective::EvalLayout;
 use crate::sim::{ContextSim, DenseSim, SparseSim};
 use crate::{shard_labels, Photo, ShardLabels, Subset};
 use std::fmt;
@@ -51,13 +48,14 @@ use std::sync::Arc;
 
 /// File magic: `PHOCPAK1`.
 pub const MAGIC: [u8; 8] = *b"PHOCPAK1";
-/// Format version this module reads and writes.
-pub const VERSION: u32 = 1;
+/// Format version this module reads and writes; an image of any other
+/// version is a [`PackError::VersionSkew`].
+pub const VERSION: u32 = 2;
 /// Size of one section-table entry in bytes.
 const TABLE_ENTRY: usize = 32;
 /// Size of the fixed header in bytes.
 const HEADER: usize = 16;
-/// Hard cap on the declared section count — v1 defines 9 sections; a table
+/// Hard cap on the declared section count — v2 defines 8 sections; a table
 /// claiming more than this is corrupt, and rejecting it here bounds the
 /// table allocation before it happens.
 const MAX_SECTIONS: u32 = 64;
@@ -78,14 +76,14 @@ pub mod kind {
     pub const MEMBERSHIP: u32 = 6;
     /// Per-subset similarity stores (unit / dense triangle / sparse CSR).
     pub const SIMS: u32 = 7;
-    /// Evaluator offset table + fused `W(q)·R(q,j)` weights.
-    pub const WR: u32 = 8;
-    /// Component shard labels.
+    /// Component shard labels. (Kind 8 is unassigned: v1's evaluator
+    /// weights.)
     pub const LABELS: u32 = 9;
 }
 
-/// All mandatory sections, in the order the writer emits them.
-const ALL_KINDS: [u32; 9] = [
+/// All mandatory sections, in the order the writer emits them. A table
+/// entry of any other kind is malformed.
+const ALL_KINDS: [u32; 8] = [
     kind::META,
     kind::PHOTOS,
     kind::REQUIRED,
@@ -93,7 +91,6 @@ const ALL_KINDS: [u32; 9] = [
     kind::MEMBERS,
     kind::MEMBERSHIP,
     kind::SIMS,
-    kind::WR,
     kind::LABELS,
 ];
 
@@ -128,7 +125,7 @@ pub enum PackError {
         /// The version the file claims.
         found: u32,
     },
-    /// The header claims an absurd section count (> [`MAX_SECTIONS`]).
+    /// The header claims an absurd section count (more than 64).
     SectionCount {
         /// The count the file claims.
         found: u32,
@@ -172,7 +169,7 @@ pub enum PackError {
         /// What was inconsistent.
         what: &'static str,
     },
-    /// The instance cannot be represented in the v1 format: a count or a
+    /// The instance cannot be represented in the pack format: a count or a
     /// string-table byte total exceeds the format's u32 fields. Returned by
     /// the writer only, before any bytes are produced.
     Unrepresentable {
@@ -212,7 +209,7 @@ impl fmt::Display for PackError {
                 write!(f, "section kind {kind} is malformed: {what}")
             }
             PackError::Unrepresentable { what } => {
-                write!(f, "instance not representable in pack v1: {what}")
+                write!(f, "instance not representable in pack v{VERSION}: {what}")
             }
         }
     }
@@ -220,8 +217,8 @@ impl fmt::Display for PackError {
 
 impl std::error::Error for PackError {}
 
-/// Everything a pack load reconstructs: the instance plus the two derived
-/// structures the solvers would otherwise recompute on every cold start.
+/// Everything a pack load reconstructs: the instance plus the component
+/// labels the solvers would otherwise recompute on every cold start.
 #[derive(Debug, Clone)]
 pub struct PackedInstance {
     /// The instance, arenas installed verbatim.
@@ -229,10 +226,6 @@ pub struct PackedInstance {
     /// Component shard labels, equal to `shard_labels(&instance)` by
     /// construction at write time.
     pub labels: ShardLabels,
-    /// The evaluator layout (offset table + fused `wr` weights) the writer
-    /// derived; [`crate::Evaluator::with_layout`] consumes it without
-    /// recomputing a single product.
-    pub layout: EvalLayout,
 }
 
 // ---------------------------------------------------------------------------
@@ -292,13 +285,10 @@ impl W {
     }
 }
 
-/// Serializes `inst` into a `phocus-pack` v1 byte image.
+/// Serializes `inst` into a `phocus-pack` byte image.
 ///
-/// Derives the shard labels and the evaluator `wr` layout here — once, at
-/// write time — so loads install them verbatim. The `wr` products are
-/// computed by the exact left-associated `w * r` loop
-/// [`crate::Evaluator::new`] runs, so an evaluator built over the loaded
-/// layout is bit-identical to one built over the text-parsed instance.
+/// Derives the shard labels here — once, at write time — so loads install
+/// them verbatim.
 ///
 /// Fails with [`PackError::Unrepresentable`] — before producing any bytes —
 /// when a count or string-table total exceeds the format's u32 fields; no
@@ -309,9 +299,9 @@ pub fn pack_instance(inst: &Instance) -> Result<Vec<u8>, PackError> {
     let m = inst.num_subsets();
     let member_total: usize = inst.subsets().iter().map(|q| q.members.len()).sum();
 
-    // v1 stores counts and CSR offsets in u32 fields: reject anything the
-    // format cannot hold up front, so every `as u32` below is in-range by
-    // this check.
+    // The format stores counts and CSR offsets in u32 fields: reject
+    // anything it cannot hold up front, so every `as u32` below is in-range
+    // by this check.
     let cap = u32::MAX as u64;
     for (v, what) in [
         (n as u64, "photo count exceeds u32"),
@@ -433,27 +423,6 @@ pub fn pack_instance(inst: &Instance) -> Result<Vec<u8>, PackError> {
         sections.push((kind::SIMS, w.buf));
     }
 
-    // WR: the evaluator layout — the same left-associated `w * r` loop
-    // `Evaluator::new` runs, executed once here so loads never run it.
-    {
-        let mut w = W { buf: Vec::new() };
-        let mut off = Vec::with_capacity(m + 1);
-        let mut wr = Vec::with_capacity(member_total);
-        off.push(0u32);
-        for q in inst.subsets() {
-            let weight = q.weight;
-            for &r in q.relevance.iter() {
-                wr.push(weight * r);
-            }
-            // phocus-lint: allow(cast-bounds) — wr.len() ≤ member_total,
-            // which was checked against u32::MAX up front.
-            off.push(wr.len() as u32);
-        }
-        w.u32s(&off);
-        w.f64s(&wr);
-        sections.push((kind::WR, w.buf));
-    }
-
     // LABELS: per-photo shard indices (scalars live in META).
     {
         let mut w = W { buf: Vec::new() };
@@ -467,7 +436,7 @@ pub fn pack_instance(inst: &Instance) -> Result<Vec<u8>, PackError> {
     let mut out = W { buf: Vec::with_capacity(total) };
     out.buf.extend_from_slice(&MAGIC);
     out.u32(VERSION);
-    out.u32(sections.len() as u32); // phocus-lint: allow(cast-bounds) — exactly ALL_KINDS.len() == 9 sections
+    out.u32(sections.len() as u32); // phocus-lint: allow(cast-bounds) — exactly ALL_KINDS.len() == 8 sections
     let mut offset = (HEADER + table_len) as u64;
     for (k, payload) in &sections {
         out.u32(*k);
@@ -654,9 +623,8 @@ struct Meta {
     singleton_pool: Option<usize>,
 }
 
-/// Deserializes a `phocus-pack` v1 byte image produced by
-/// [`pack_instance`], returning the reconstructed instance plus the
-/// persisted evaluator layout and shard labels.
+/// Deserializes a `phocus-pack` byte image produced by [`pack_instance`],
+/// returning the reconstructed instance plus its persisted shard labels.
 pub fn unpack_instance(bytes: &[u8]) -> Result<PackedInstance, PackError> {
     // --- header ---
     if bytes.len() < HEADER {
@@ -684,6 +652,9 @@ pub fn unpack_instance(bytes: &[u8]) -> Result<PackedInstance, PackError> {
     for i in 0..count as usize {
         let e = &bytes[HEADER + i * TABLE_ENTRY..HEADER + (i + 1) * TABLE_ENTRY];
         let k = u32::from_le_bytes([e[0], e[1], e[2], e[3]]);
+        if !ALL_KINDS.contains(&k) {
+            return Err(PackError::Malformed { kind: k, what: "unknown section kind" });
+        }
         let offset = u64::from_le_bytes([e[8], e[9], e[10], e[11], e[12], e[13], e[14], e[15]]);
         let len = u64::from_le_bytes([e[16], e[17], e[18], e[19], e[20], e[21], e[22], e[23]]);
         let sum = u64::from_le_bytes([e[24], e[25], e[26], e[27], e[28], e[29], e[30], e[31]]);
@@ -699,9 +670,7 @@ pub fn unpack_instance(bytes: &[u8]) -> Result<PackedInstance, PackError> {
             return Err(PackError::SectionOverlap { kind: k });
         }
         prev_end = end;
-        let slot = by_kind
-            .get_mut(k as usize)
-            .ok_or(PackError::Malformed { kind: k, what: "unknown section kind" })?;
+        let slot = &mut by_kind[k as usize];
         if slot.is_some() {
             return Err(PackError::DuplicateSection { kind: k });
         }
@@ -895,27 +864,6 @@ pub fn unpack_instance(bytes: &[u8]) -> Result<PackedInstance, PackError> {
         sims
     };
 
-    // --- WR ---
-    let layout = {
-        let mut r = R::new(kind::WR, section(kind::WR)?);
-        let off = read_csr_offsets(&mut r, m, meta.member_total)?;
-        // The evaluator addresses subset `s`'s members at `off[s] + j` for
-        // `j < |q_s|`, so each span must match the subset's member count
-        // exactly — otherwise a fused weight would be read for the wrong
-        // member.
-        for (s, q) in subsets.iter().enumerate() {
-            if (off[s + 1] - off[s]) as usize != q.members.len() {
-                return Err(PackError::Malformed {
-                    kind: kind::WR,
-                    what: "wr offset span differs from subset size",
-                });
-            }
-        }
-        let wr = r.vec_f64(meta.member_total)?;
-        r.finish()?;
-        EvalLayout::from_raw(off, wr)
-    };
-
     // --- LABELS ---
     let labels = {
         let mut r = R::new(kind::LABELS, section(kind::LABELS)?);
@@ -944,7 +892,7 @@ pub fn unpack_instance(bytes: &[u8]) -> Result<PackedInstance, PackError> {
         ShardLabels::from_parts(photo_shard, meta.num_shards, meta.singleton_pool)
     };
 
-    let instance = Instance::from_packed_parts(
+    let instance = Instance::from_pack_parts(
         photos,
         required_ids,
         meta.required_cost,
@@ -955,14 +903,14 @@ pub fn unpack_instance(bytes: &[u8]) -> Result<PackedInstance, PackError> {
         meta.budget,
         sims,
     );
-    Ok(PackedInstance { instance, labels, layout })
+    Ok(PackedInstance { instance, labels })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exact_score;
     use crate::fixtures::{figure1_instance, random_instance, RandomInstanceConfig, MB};
-    use crate::{exact_score, Evaluator};
 
     fn fixtures() -> Vec<Instance> {
         let mut v = vec![figure1_instance(4 * MB)];
@@ -996,25 +944,6 @@ mod tests {
     }
 
     #[test]
-    fn loaded_layout_matches_fresh_evaluator() {
-        for inst in fixtures() {
-            let bytes = pack_instance(&inst).expect("packable");
-            let packed = unpack_instance(&bytes).expect("round trip");
-            let fresh = Evaluator::new(&packed.instance);
-            let loaded = Evaluator::with_layout(&packed.instance, &packed.layout);
-            let captured = fresh.capture_layout();
-            assert_eq!(captured.off(), packed.layout.off());
-            let same_bits = captured
-                .wr()
-                .iter()
-                .zip(packed.layout.wr())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same_bits, "fused wr weights drifted through the pack");
-            drop(loaded);
-        }
-    }
-
-    #[test]
     fn loaded_instance_scores_identically() {
         for inst in fixtures() {
             let packed = unpack_instance(&pack_instance(&inst).expect("packable")).expect("round trip");
@@ -1034,6 +963,60 @@ mod tests {
                 pack_instance(&inst).expect("packable")
             );
         }
+    }
+
+    /// Inserts a table entry of section kind `k` with an empty payload at
+    /// the end of the table, shifting every payload offset past it, so the
+    /// image stays back-to-back and every checksum stays valid.
+    fn with_extra_section(good: &[u8], k: u32) -> Vec<u8> {
+        let count = u32::from_le_bytes([good[12], good[13], good[14], good[15]]) as usize;
+        let table_end = HEADER + count * TABLE_ENTRY;
+        let mut out = good[..table_end].to_vec();
+        out[12..16].copy_from_slice(&(count as u32 + 1).to_le_bytes());
+        for i in 0..count {
+            let e = HEADER + i * TABLE_ENTRY + 8;
+            let offset = u64::from_le_bytes(out[e..e + 8].try_into().unwrap());
+            out[e..e + 8].copy_from_slice(&(offset + TABLE_ENTRY as u64).to_le_bytes());
+        }
+        let end = (good.len() + TABLE_ENTRY) as u64;
+        out.extend_from_slice(&k.to_le_bytes());
+        out.extend_from_slice(&0u32.to_le_bytes());
+        out.extend_from_slice(&end.to_le_bytes());
+        out.extend_from_slice(&0u64.to_le_bytes());
+        out.extend_from_slice(&fnv1a64(&[]).to_le_bytes());
+        out.extend_from_slice(&good[table_end..]);
+        out
+    }
+
+    #[test]
+    fn undeclared_section_kinds_are_malformed() {
+        let good = pack_instance(&figure1_instance(4 * MB)).expect("packable");
+        for k in [0u32, 8, 12] {
+            assert_eq!(
+                unpack_instance(&with_extra_section(&good, k)).unwrap_err(),
+                PackError::Malformed {
+                    kind: k,
+                    what: "unknown section kind"
+                },
+                "kind {k}"
+            );
+        }
+        // The same splice with a declared kind is a duplicate, so the
+        // helper itself yields a well-formed table.
+        assert_eq!(
+            unpack_instance(&with_extra_section(&good, kind::META)).unwrap_err(),
+            PackError::DuplicateSection { kind: kind::META }
+        );
+    }
+
+    #[test]
+    fn v1_images_are_version_skew() {
+        let mut v1 = pack_instance(&figure1_instance(4 * MB)).expect("packable");
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(
+            unpack_instance(&v1).unwrap_err(),
+            PackError::VersionSkew { found: 1 }
+        );
     }
 
     #[test]

@@ -16,7 +16,8 @@ const BANNED_MACROS: &[&str] = &[
     "eprintln",
 ];
 
-/// `no-print`: see [`BANNED_MACROS`].
+/// `no-print`: flags every macro listed in `BANNED_MACROS` in library
+/// sources.
 pub fn no_print(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
     let lib_crate = matches!(
         ctx.spec.category,

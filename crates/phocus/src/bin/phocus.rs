@@ -27,8 +27,7 @@ use par_datasets::{
 use phocus::{
     render_report, representation::RepresentationConfig, representation::Sparsification, run_suite,
     ActionLadder, ArchiveSession, Catalog, CatalogBuilder, EpochSolve, FleetEngine,
-    FleetEngineConfig, FleetTenant, PackedTenant, Parallelism, Phocus, PhocusConfig, PhocusError,
-    SuiteConfig,
+    FleetEngineConfig, FleetTenant, Parallelism, Phocus, PhocusConfig, PhocusError, SuiteConfig,
 };
 use std::process::ExitCode;
 
@@ -280,6 +279,19 @@ impl<'a> Args<'a> {
             )));
         }
         Ok((mb * 1e6) as u64)
+    }
+
+    /// `--budget-frac`: the share of each tenant's own archive it may keep
+    /// (default 0.25); anything outside `[0, 1]`, NaN included, is a usage
+    /// error.
+    fn budget_frac(&self) -> Result<f64, CliError> {
+        let frac: f64 = self.parse("--budget-frac", 0.25)?;
+        if !(0.0..=1.0).contains(&frac) {
+            return Err(CliError::usage(format!(
+                "--budget-frac must be in [0, 1], got {frac}"
+            )));
+        }
+        Ok(frac)
     }
 }
 
@@ -663,191 +675,128 @@ fn cmd_serve_batch(rest: &[String]) -> Result<(), CliError> {
     let list = args.opt("--list").ok_or_else(|| {
         CliError::usage("missing --list (file of tenant universe paths, `-` for stdin)")
     })?;
-    let budget_frac: f64 = args.parse("--budget-frac", 0.25)?;
+    let budget_frac = args.budget_frac()?;
     let budget = args.budget_mb(0.0)?;
-    let out_dir = args.opt("--out-dir");
-    if !(0.0..=1.0).contains(&budget_frac) || budget_frac.is_nan() {
-        return Err(CliError::usage(format!(
-            "--budget-frac must be in [0, 1], got {budget_frac}"
-        )));
-    }
-
     let paths = read_tenant_list(&list)?;
+    let representation = repr_from_flags(&args)?;
+
+    // Load every tenant up front; a tenant whose file is unreadable or
+    // malformed fails *that tenant*, never the batch.
+    let loaded = paths
+        .iter()
+        .map(|path| {
+            let text = read_file(path)?;
+            let universe = par_datasets::from_text(&text).map_err(PhocusError::Dataset)?;
+            let budget = if budget > 0 {
+                budget
+            } else {
+                phocus::fraction_budget(universe.total_cost(), budget_frac)
+            };
+            Ok(FleetTenant::Library { universe, budget })
+        })
+        .collect();
+    let engine = FleetEngine::new(FleetEngineConfig { representation });
+    serve_fleet(&engine, &paths, loaded, args.opt("--out-dir"))
+}
+
+/// `serve-batch --catalog`: the catalog-resident serving path. Tenants come
+/// from pack files — no text parse, no representation, no union-find —
+/// budgets and names from the resident index.
+fn serve_batch_catalog(args: &Args<'_>, dir: &str) -> Result<(), CliError> {
+    Parallelism::with_threads(args.parse("--threads", 0)?).install_global();
+    let catalog = Catalog::open(dir)?;
+    if catalog.entries().is_empty() {
+        return Err(CliError::usage(format!("catalog {dir} has no tenants")));
+    }
+    // A stale checksum or corrupt pack fails *that tenant*, never the batch.
+    let loaded = catalog
+        .entries()
+        .iter()
+        .map(|entry| {
+            let packed = catalog.load(entry)?;
+            Ok(FleetTenant::Packed {
+                name: entry.name.clone(),
+                packed,
+            })
+        })
+        .collect();
+    let names: Vec<String> = catalog.entries().iter().map(|e| e.name.clone()).collect();
+    let engine = FleetEngine::default();
+    serve_fleet(&engine, &names, loaded, args.opt("--out-dir"))
+}
+
+/// The serve-batch report: solves every tenant that loaded, then prints one
+/// `ok` or `fail` line per tenant in input order (`labels[i]` names tenant
+/// `i` on its `fail` line) and the `batch` summary, and writes each solved
+/// tenant's retained set under `out_dir`. Exits 5 if any tenant failed to
+/// load or solve.
+fn serve_fleet(
+    engine: &FleetEngine,
+    labels: &[String],
+    loaded: Vec<Result<FleetTenant, PhocusError>>,
+    out_dir: Option<String>,
+) -> Result<(), CliError> {
     if let Some(dir) = &out_dir {
         std::fs::create_dir_all(dir).map_err(|e| PhocusError::Io {
             path: dir.clone(),
             message: e.to_string(),
         })?;
     }
-
-    let representation = repr_from_flags(&args)?;
-
-    // Load every tenant up front; a tenant whose file is unreadable or
-    // malformed fails *that tenant*, never the batch.
-    let mut loaded: Vec<Result<FleetTenant, PhocusError>> = Vec::with_capacity(paths.len());
-    for path in &paths {
-        let tenant = read_file(path).and_then(|text| {
-            let universe = par_datasets::from_text(&text).map_err(PhocusError::Dataset)?;
-            let budget = if budget > 0 {
-                budget
-            } else {
-                ((universe.total_cost() as f64 * budget_frac) as u64).max(1)
-            };
-            Ok(FleetTenant { universe, budget })
-        });
-        loaded.push(tenant);
+    let mut solvable = Vec::with_capacity(loaded.len());
+    let mut load_errors = Vec::with_capacity(loaded.len());
+    for tenant in loaded {
+        match tenant {
+            Ok(t) => {
+                solvable.push(t);
+                load_errors.push(None);
+            }
+            Err(e) => load_errors.push(Some(e)),
+        }
     }
-    let solvable: Vec<FleetTenant> = loaded.iter().filter_map(|t| t.as_ref().ok()).cloned().collect();
 
     let t0 = std::time::Instant::now(); // phocus-lint: allow(wall-clock) — fills the reported batch throughput line only
-    let engine = FleetEngine::new(FleetEngineConfig { representation });
     let outcomes = engine.run(&solvable);
     let batch_secs = t0.elapsed().as_secs_f64();
 
     // Report in input order, interleaving load failures with solve outcomes.
     let mut failed = 0usize;
     let mut next_outcome = outcomes.into_iter();
-    for (i, (path, tenant)) in paths.iter().zip(&loaded).enumerate() {
-        match tenant {
-            Err(e) => {
-                failed += 1;
-                println!("fail\t{path}: {e}");
-            }
-            Ok(_) => {
-                let Some(outcome) = next_outcome.next() else {
+    for (i, (label, load_error)) in labels.iter().zip(load_errors).enumerate() {
+        let solved = match load_error {
+            Some(e) => Err(e),
+            None => {
+                let Some(o) = next_outcome.next() else {
                     // One engine outcome per loaded tenant, by construction.
                     unreachable!("engine returned fewer outcomes than tenants")
                 };
-                match &outcome.result {
-                    Err(e) => {
-                        failed += 1;
-                        println!("fail\t{path}: {e}");
+                o.result.map(|report| (o.name, o.photos, report, o.latency))
+            }
+        };
+        match solved {
+            Err(e) => {
+                failed += 1;
+                println!("fail\t{label}: {e}");
+            }
+            Ok((name, photos, report, latency)) => {
+                println!(
+                    "ok\t{name}\tphotos={photos}\tretained={}\tcost_mb={:.2}\tscore={:.3}\tms={:.1}",
+                    report.selected.len(),
+                    report.cost as f64 / 1e6,
+                    report.score,
+                    latency.as_secs_f64() * 1e3
+                );
+                if let Some(dir) = &out_dir {
+                    let file = format!("{dir}/{i:05}_{}.tsv", name.replace(['/', '\\'], "_"));
+                    let mut text = String::new();
+                    for &p in &report.selected {
+                        text.push_str(&format!("{}\n", p.0));
                     }
-                    Ok(report) => {
-                        println!(
-                            "ok\t{}\tphotos={}\tretained={}\tcost_mb={:.2}\tscore={:.3}\tms={:.1}",
-                            outcome.name,
-                            outcome.photos,
-                            report.selected.len(),
-                            report.cost as f64 / 1e6,
-                            report.score,
-                            outcome.latency.as_secs_f64() * 1e3
-                        );
-                        if let Some(dir) = &out_dir {
-                            let file = format!(
-                                "{dir}/{i:05}_{}.tsv",
-                                outcome.name.replace(['/', '\\'], "_")
-                            );
-                            let mut text = String::new();
-                            for &p in &report.selected {
-                                text.push_str(&format!("{}\n", p.0));
-                            }
-                            write_file(&file, &text)?;
-                        }
-                    }
+                    write_file(&file, &text)?;
                 }
             }
         }
     }
-    let total = paths.len();
-    println!(
-        "batch\ttenants={total}\tok={}\tfailed={failed}\tinst_per_sec={:.2}",
-        total - failed,
-        (total - failed) as f64 / batch_secs.max(1e-9)
-    );
-    if failed > 0 {
-        return Err(CliError::PartialFailure {
-            failed,
-            total,
-            what: "tenants",
-        });
-    }
-    Ok(())
-}
-
-/// `serve-batch --catalog`: the catalog-resident serving path. Tenants come
-/// from pack files — no text parse, no representation, no union-find —
-/// budgets and names from the resident index. Reporting, failure isolation,
-/// and exit codes mirror the universe-list path.
-fn serve_batch_catalog(args: &Args<'_>, dir: &str) -> Result<(), CliError> {
-    Parallelism::with_threads(args.parse("--threads", 0)?).install_global();
-    let out_dir = args.opt("--out-dir");
-    if let Some(d) = &out_dir {
-        std::fs::create_dir_all(d).map_err(|e| PhocusError::Io {
-            path: d.clone(),
-            message: e.to_string(),
-        })?;
-    }
-
-    let catalog = Catalog::open(dir)?;
-    if catalog.entries().is_empty() {
-        return Err(CliError::usage(format!("catalog {dir} has no tenants")));
-    }
-
-    // Load every pack up front; a stale checksum or corrupt pack fails
-    // *that tenant*, never the batch — same isolation as the list path.
-    let mut loaded: Vec<Result<PackedTenant, PhocusError>> =
-        Vec::with_capacity(catalog.entries().len());
-    for entry in catalog.entries() {
-        loaded.push(catalog.load(entry).map(|packed| PackedTenant {
-            name: entry.name.clone(),
-            packed,
-        }));
-    }
-    let solvable: Vec<PackedTenant> = loaded.iter().filter_map(|t| t.as_ref().ok()).cloned().collect();
-
-    let t0 = std::time::Instant::now(); // phocus-lint: allow(wall-clock) — fills the reported batch throughput line only
-    let engine = FleetEngine::new(FleetEngineConfig {
-        representation: RepresentationConfig::default(), // unused on the packed path
-    });
-    let outcomes = engine.run_packed(&solvable);
-    let batch_secs = t0.elapsed().as_secs_f64();
-
-    let mut failed = 0usize;
-    let mut next_outcome = outcomes.into_iter();
-    for (i, (entry, tenant)) in catalog.entries().iter().zip(&loaded).enumerate() {
-        match tenant {
-            Err(e) => {
-                failed += 1;
-                println!("fail\t{}: {e}", entry.name);
-            }
-            Ok(_) => {
-                let Some(outcome) = next_outcome.next() else {
-                    // One engine outcome per loaded tenant, by construction.
-                    unreachable!("engine returned fewer outcomes than tenants")
-                };
-                match &outcome.result {
-                    Err(e) => {
-                        failed += 1;
-                        println!("fail\t{}: {e}", entry.name);
-                    }
-                    Ok(report) => {
-                        println!(
-                            "ok\t{}\tphotos={}\tretained={}\tcost_mb={:.2}\tscore={:.3}\tms={:.1}",
-                            outcome.name,
-                            outcome.photos,
-                            report.selected.len(),
-                            report.cost as f64 / 1e6,
-                            report.score,
-                            outcome.latency.as_secs_f64() * 1e3
-                        );
-                        if let Some(d) = &out_dir {
-                            let file = format!(
-                                "{d}/{i:05}_{}.tsv",
-                                outcome.name.replace(['/', '\\'], "_")
-                            );
-                            let mut text = String::new();
-                            for &p in &report.selected {
-                                text.push_str(&format!("{}\n", p.0));
-                            }
-                            write_file(&file, &text)?;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let total = catalog.entries().len();
+    let total = labels.len();
     println!(
         "batch\ttenants={total}\tok={}\tfailed={failed}\tinst_per_sec={:.2}",
         total - failed,
@@ -930,13 +879,8 @@ fn cmd_catalog_build(rest: &[String]) -> Result<(), CliError> {
         CliError::usage("missing --list (file of tenant universe paths, `-` for stdin)")
     })?;
     let out_dir = args.required("--out-dir")?;
-    let budget_frac: f64 = args.parse("--budget-frac", 0.25)?;
+    let budget_frac = args.budget_frac()?;
     let budget_bytes = args.budget_mb(0.0)?;
-    if !(0.0..=1.0).contains(&budget_frac) || budget_frac.is_nan() {
-        return Err(CliError::usage(format!(
-            "--budget-frac must be in [0, 1], got {budget_frac}"
-        )));
-    }
     let representation = repr_from_flags(&args)?;
 
     let paths = read_tenant_list(&list)?;
@@ -948,7 +892,7 @@ fn cmd_catalog_build(rest: &[String]) -> Result<(), CliError> {
         let budget = if budget_bytes > 0 {
             budget_bytes
         } else {
-            ((universe.total_cost() as f64 * budget_frac) as u64).max(1)
+            phocus::fraction_budget(universe.total_cost(), budget_frac)
         };
         let inst = phocus::represent(&universe, budget, &representation)?;
         let bytes = par_core::pack_instance(&inst).map_err(PhocusError::from)?;
@@ -987,13 +931,12 @@ fn cmd_catalog_ls(rest: &[String]) -> Result<(), CliError> {
     let catalog = Catalog::open(dir.as_str())?;
     for e in catalog.entries() {
         println!(
-            "tenant\t{}\t{}\t{:016x}\tphotos={}\tbudget_mb={:.2}\tartifact={}",
+            "tenant\t{}\t{}\t{:016x}\tphotos={}\tbudget_mb={:.2}",
             e.name,
             e.pack,
             e.checksum,
             e.photos,
-            e.budget as f64 / 1e6,
-            e.artifact.as_ref().map_or("-", |(f, _)| f.as_str())
+            e.budget as f64 / 1e6
         );
     }
     println!("catalog\t{dir}\ttenants={}", catalog.entries().len());

@@ -3,7 +3,7 @@
 //!
 //! Haystack's core lesson is that *metadata lookups*, not data reads, kill
 //! photo-store throughput — so the catalog keeps its entire index (tenant
-//! name → pack path, content checksum, artifact paths) resident in memory
+//! name → pack path, content checksum, photo count, budget) resident in memory
 //! after one read of `catalog.idx`. Serving a tenant then costs exactly one
 //! file read plus a checksummed [`par_core::unpack_instance`] bulk load; no
 //! directory walks, no text parsing, no representation pipeline.
@@ -13,7 +13,6 @@
 //! ```text
 //! <root>/catalog.idx      the index (format below)
 //! <root>/pk00000.pack     one phocus-pack per tenant, named by entry index
-//! <root>/pk00000.sol      optional solve artifact for that tenant
 //! ```
 //!
 //! Pack files are named by entry index, not tenant name, so arbitrary
@@ -23,14 +22,14 @@
 //! # Index format (`catalog.idx`)
 //!
 //! ```text
-//! # phocus-catalog v1
-//! tenant\t<name>\t<pack file>\t<fnv1a64 hex>\t<photos>\t<budget>\t<artifact file|->\t<artifact fnv1a64 hex|->
+//! # phocus-catalog v2
+//! tenant\t<name>\t<pack file>\t<fnv1a64 hex>\t<photos>\t<budget>
 //! ```
 //!
-//! One line per tenant, sorted by tenant name (strictly ascending — the
-//! builder rejects duplicates), so lookups are a binary search over the
-//! resident entries and the index bytes are a deterministic function of its
-//! contents. Checksums are [`par_core::fnv1a64`] over the whole referenced
+//! One line of exactly six fields per tenant, sorted by tenant name
+//! (strictly ascending — the builder rejects duplicates), so lookups are a
+//! binary search over the resident entries and the index bytes are a
+//! deterministic function of its contents. Checksums are [`par_core::fnv1a64`] over the whole referenced
 //! file; [`Catalog::load`] re-hashes the pack bytes before handing them to
 //! the pack reader, so a stale or corrupted pack is a typed
 //! [`PhocusError::Catalog`] / [`PhocusError::Pack`](crate::PhocusError),
@@ -42,11 +41,11 @@ use std::path::{Path, PathBuf};
 
 /// File name of the catalog index inside the catalog directory.
 pub const INDEX_FILE: &str = "catalog.idx";
-/// First line of a v1 index.
-const HEADER: &str = "# phocus-catalog v1";
+/// First line of a v2 index.
+const HEADER: &str = "# phocus-catalog v2";
 
-/// One tenant's resident metadata: where its pack (and optional solve
-/// artifact) live and what bytes they must hash to.
+/// One tenant's resident metadata: where its pack lives and what bytes it
+/// must hash to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CatalogEntry {
     /// Tenant name (the universe name at build time).
@@ -59,9 +58,6 @@ pub struct CatalogEntry {
     pub photos: u64,
     /// The budget the pack was represented under (bytes).
     pub budget: u64,
-    /// Solve-artifact file name relative to the root, with its checksum,
-    /// if one was recorded.
-    pub artifact: Option<(String, u64)>,
 }
 
 /// A memory-resident catalog over a directory of `phocus-pack` files.
@@ -129,17 +125,13 @@ impl Catalog {
             let budget = field("budget")?
                 .parse::<u64>()
                 .map_err(|_| index_err(&index, lineno, "bad budget"))?;
-            let artifact = match (field("artifact file")?, field("artifact checksum")?) {
-                ("-", "-") => None,
-                ("-", _) | (_, "-") => {
-                    return Err(index_err(&index, lineno, "half-present artifact record"));
-                }
-                (file, sum) => Some((
-                    file.to_string(),
-                    parse_hex64(sum)
-                        .ok_or_else(|| index_err(&index, lineno, "bad artifact checksum"))?,
-                )),
-            };
+            if f.next().is_some() {
+                return Err(index_err(
+                    &index,
+                    lineno,
+                    "a tenant record has exactly six fields",
+                ));
+            }
             if let Some(prev) = entries.last() {
                 if prev.name.as_str() >= name.as_str() {
                     return Err(index_err(
@@ -155,7 +147,6 @@ impl Catalog {
                 checksum,
                 photos,
                 budget,
-                artifact,
             });
         }
         Ok(Catalog { root, entries })
@@ -181,8 +172,7 @@ impl Catalog {
 
     /// Loads one tenant's instance from its pack: one file read, one
     /// whole-file checksum, one section-table bulk load. Returns the
-    /// reconstructed instance with its persisted evaluator layout and shard
-    /// labels.
+    /// reconstructed instance with its persisted shard labels.
     pub fn load(&self, entry: &CatalogEntry) -> Result<PackedInstance> {
         let path = self.root.join(&entry.pack);
         let bytes = std::fs::read(&path).map_err(|e| io_err(&path, &e))?;
@@ -205,9 +195,8 @@ impl Catalog {
     }
 }
 
-/// Builds a catalog directory: add packs (and optional solve artifacts)
-/// tenant by tenant, then [`finish`](CatalogBuilder::finish) writes the
-/// sorted index.
+/// Builds a catalog directory: add packs tenant by tenant, then
+/// [`finish`](CatalogBuilder::finish) writes the sorted index.
 #[derive(Debug)]
 pub struct CatalogBuilder {
     root: PathBuf,
@@ -238,22 +227,7 @@ impl CatalogBuilder {
             checksum: fnv1a64(bytes),
             photos,
             budget,
-            artifact: None,
         });
-        Ok(())
-    }
-
-    /// Attaches a solve artifact (arbitrary text, e.g. the selected photo
-    /// list) to the most recently added pack.
-    pub fn add_artifact(&mut self, text: &str) -> Result<()> {
-        let i = self.entries.len().checked_sub(1).ok_or_else(|| PhocusError::Catalog {
-            entry: self.root.display().to_string(),
-            message: "add_artifact called before any add_pack".into(),
-        })?;
-        let file = format!("pk{i:05}.sol");
-        let path = self.root.join(&file);
-        std::fs::write(&path, text).map_err(|e| io_err(&path, &e))?;
-        self.entries[i].artifact = Some((file, fnv1a64(text.as_bytes())));
         Ok(())
     }
 
@@ -272,13 +246,9 @@ impl CatalogBuilder {
         let mut text = String::from(HEADER);
         text.push('\n');
         for e in &self.entries {
-            let (afile, asum) = match &e.artifact {
-                Some((f, s)) => (f.as_str(), format!("{s:016x}")),
-                None => ("-", "-".to_string()),
-            };
             text.push_str(&format!(
-                "tenant\t{}\t{}\t{:016x}\t{}\t{}\t{}\t{}\n",
-                e.name, e.pack, e.checksum, e.photos, e.budget, afile, asum
+                "tenant\t{}\t{}\t{:016x}\t{}\t{}\n",
+                e.name, e.pack, e.checksum, e.photos, e.budget
             ));
         }
         let index = self.root.join(INDEX_FILE);
@@ -309,7 +279,6 @@ mod tests {
         let bytes = pack_instance(&inst).expect("packable");
         let mut b = CatalogBuilder::create(&dir).unwrap();
         b.add_pack("zeta", &bytes, inst.num_photos() as u64, inst.budget()).unwrap();
-        b.add_artifact("selected\t3\n").unwrap();
         b.add_pack("alpha", &bytes, inst.num_photos() as u64, inst.budget()).unwrap();
         let built = b.finish().unwrap();
         assert_eq!(built.entries().len(), 2);
@@ -319,7 +288,6 @@ mod tests {
         let opened = Catalog::open(&dir).unwrap();
         assert_eq!(opened.entries(), built.entries());
         let entry = opened.get("zeta").unwrap();
-        assert!(entry.artifact.is_some());
         let loaded = opened.load(entry).unwrap();
         assert_eq!(loaded.instance.num_photos(), inst.num_photos());
         assert_eq!(loaded.instance.budget(), inst.budget());
@@ -364,13 +332,39 @@ mod tests {
         ));
         std::fs::write(
             dir.join(INDEX_FILE),
-            "# phocus-catalog v1\ntenant\tx\tp.pack\tzz\t1\t1\t-\t-\n",
+            "# phocus-catalog v2\ntenant\tx\tp.pack\tzz\t1\t1\n",
         )
         .unwrap();
         assert!(matches!(
             Catalog::open(&dir).unwrap_err(),
             PhocusError::Catalog { .. }
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn v1_index_and_artifact_columns_are_typed_errors() {
+        let dir = tmpdir("v1");
+        std::fs::create_dir_all(&dir).unwrap();
+        let record = "tenant\tx\tpk00000.pack\t00000000000000ff\t1\t1";
+        for text in [
+            // A v1 header in front of an otherwise valid v2 record.
+            format!("# phocus-catalog v1\n{record}\n"),
+            // A v1 record: eight fields, artifact columns included.
+            format!("{HEADER}\n{record}\t-\t-\n"),
+        ] {
+            std::fs::write(dir.join(INDEX_FILE), &text).unwrap();
+            assert!(
+                matches!(
+                    Catalog::open(&dir).unwrap_err(),
+                    PhocusError::Catalog { .. }
+                ),
+                "{text:?} must be rejected"
+            );
+        }
+        // The same record under the v2 header opens.
+        std::fs::write(dir.join(INDEX_FILE), format!("{HEADER}\n{record}\n")).unwrap();
+        assert_eq!(Catalog::open(&dir).unwrap().entries().len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -534,22 +534,6 @@ pub fn solve_multi_action(
     })
 }
 
-/// Outcome of the remove-vs-compress comparison. Both scores are measured
-/// on the ε-free objective ([`epsilon_free_score`]), so they are directly
-/// comparable.
-#[derive(Debug, Clone)]
-pub struct CompressionComparison {
-    /// Quality of the remove-only solution (original model).
-    pub remove_only: f64,
-    /// ε-free quality of the multi-action solution on the expanded
-    /// instance.
-    pub with_compression: f64,
-    /// Photos kept at full quality in the multi-action solution.
-    pub kept_original: usize,
-    /// Number of compressed renditions retained.
-    pub kept_compressed: usize,
-}
-
 /// Algorithm 1 on the plan (`sharding`) or on the global oracle.
 fn algorithm1(inst: &Instance, sharding: bool) -> MainOutcome {
     if sharding {
@@ -557,25 +541,6 @@ fn algorithm1(inst: &Instance, sharding: bool) -> MainOutcome {
     } else {
         main_algorithm(inst)
     }
-}
-
-/// Runs the future-work experiment: same universe, same budget, with and
-/// without the compression ladder, on the CELF plan.
-pub fn compare_remove_vs_compress(
-    universe: &Universe,
-    budget: u64,
-    ladder: &ActionLadder,
-    cfg: &RepresentationConfig,
-) -> Result<CompressionComparison> {
-    let base = represent(universe, budget, cfg)?;
-    let remove_only = main_algorithm_sharded(&base).best.score;
-    let ma = solve_multi_action(universe, budget, ladder, cfg, true)?;
-    Ok(CompressionComparison {
-        remove_only,
-        with_compression: ma.score,
-        kept_original: ma.kept_original,
-        kept_compressed: ma.kept_compressed,
-    })
 }
 
 /// One point of a delete-only vs multi-action quality frontier.
@@ -735,46 +700,47 @@ mod tests {
     fn compression_never_hurts_and_usually_helps_tight_budgets() {
         let u = universe();
         let budget = u.total_cost() / 12; // tight: compression should shine
-        let cmp = compare_remove_vs_compress(
-            &u,
-            budget,
-            &ActionLadder::standard(),
-            &RepresentationConfig::default(),
-        )
-        .unwrap();
-        assert!(
-            cmp.with_compression >= cmp.remove_only - 1e-9,
-            "compression made things worse: {} < {}",
-            cmp.with_compression,
-            cmp.remove_only
+        let cfg = RepresentationConfig::default();
+        let remove =
+            solve_multi_action(&u, budget, &ActionLadder::delete_only(), &cfg, true).unwrap();
+        let ma = solve_multi_action(&u, budget, &ActionLadder::standard(), &cfg, true).unwrap();
+        // The delete-only ladder is remove-only archival: the same score
+        // bits as Algorithm 1 on the plain representation.
+        let base = represent(&u, budget, &cfg).unwrap();
+        assert_eq!(
+            remove.score.to_bits(),
+            main_algorithm_sharded(&base).best.score.to_bits()
         );
         assert!(
-            cmp.kept_compressed > 0,
+            ma.score >= remove.score - 1e-9,
+            "compression made things worse: {} < {}",
+            ma.score,
+            remove.score
+        );
+        assert!(
+            ma.kept_compressed > 0,
             "ladder never used at a tight budget"
         );
         assert!(
-            cmp.with_compression > 1.02 * cmp.remove_only,
+            ma.score > 1.02 * remove.score,
             "expected a visible gain: {} vs {}",
-            cmp.with_compression,
-            cmp.remove_only
+            ma.score,
+            remove.score
         );
         // Pinned ε-free numbers (both sides on the original photos'
-        // demand): the old comparison read the expanded instance's exact
-        // score — renditions' ε-demand included — so the headline was
-        // slightly inflated and, worse, not on the same objective as the
-        // remove-only side. These are the corrected values.
+        // demand).
         let close = |x: f64, pin: f64| (x - pin).abs() <= 1e-6 * pin;
         assert!(
-            close(cmp.remove_only, 149.72709166561123),
+            close(remove.score, 149.72709166561123),
             "remove-only drifted: {}",
-            cmp.remove_only
+            remove.score
         );
         assert!(
-            close(cmp.with_compression, 185.30881724362274),
+            close(ma.score, 185.30881724362274),
             "multi-action drifted: {}",
-            cmp.with_compression
+            ma.score
         );
-        assert_eq!((cmp.kept_original, cmp.kept_compressed), (2, 63));
+        assert_eq!((ma.kept_original, ma.kept_compressed), (2, 63));
     }
 
     #[test]

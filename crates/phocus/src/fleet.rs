@@ -27,33 +27,70 @@
 //!   function of its tenant, so the batch result is independent of worker
 //!   count and dispatch order.
 //!
+//! A tenant arrives either as a photo library ([`FleetTenant::Library`],
+//! represented and labelled on the worker) or as a loaded `phocus-pack`
+//! ([`FleetTenant::Packed`], instance and labels prebuilt); one batch may mix
+//! both, and from the labels on both run the same plan.
+//!
 //! Failures are per-tenant: a tenant whose representation fails (e.g. its
 //! required set alone exceeds its budget) yields an `Err` outcome while the
 //! rest of the fleet solves normally. The `phocus serve-batch` CLI surfaces
 //! this as one status line per tenant and exit code 5 when some — but not
 //! all — tenants failed.
 
-use crate::error::{PhocusError, Result};
+use crate::error::Result;
 use crate::representation::{represent, RepresentationConfig};
-use par_algo::{GreedyRule, MainOutcome, ShardedSolver, SolveScratch};
+use par_algo::{GreedyRule, ShardedSolver, SolveScratch};
 use par_core::{Instance, PackedInstance, PhotoId, ShardLabels};
 use par_datasets::Universe;
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 /// Configuration of a fleet batch run.
 #[derive(Debug, Clone, Default)]
 pub struct FleetEngineConfig {
-    /// Representation choices applied to every tenant.
+    /// Representation choices applied to every [`FleetTenant::Library`]
+    /// tenant (a packed tenant was represented when it was packed).
     pub representation: RepresentationConfig,
 }
 
-/// One unit of fleet work: a tenant's library and its byte budget.
+/// One unit of fleet work.
 #[derive(Debug, Clone)]
-pub struct FleetTenant {
-    /// The tenant's photo library.
-    pub universe: Universe,
-    /// The tenant's storage budget in bytes.
-    pub budget: u64,
+pub enum FleetTenant {
+    /// A photo library, represented under the engine's configuration.
+    Library {
+        /// The tenant's photo library.
+        universe: Universe,
+        /// The tenant's storage budget in bytes.
+        budget: u64,
+    },
+    /// A tenant loaded from a `phocus-pack`: the instance and its shard
+    /// labels arrive prebuilt, so text parsing, representation and the
+    /// union-find are all skipped.
+    Packed {
+        /// Tenant name (the catalog entry's).
+        name: String,
+        /// The loaded pack.
+        packed: PackedInstance,
+    },
+}
+
+impl FleetTenant {
+    /// The tenant's name.
+    pub fn name(&self) -> &str {
+        match self {
+            FleetTenant::Library { universe, .. } => &universe.name,
+            FleetTenant::Packed { name, .. } => name,
+        }
+    }
+
+    /// Photos in the tenant's library (the LPT scheduling key).
+    pub fn num_photos(&self) -> usize {
+        match self {
+            FleetTenant::Library { universe, .. } => universe.num_photos(),
+            FleetTenant::Packed { packed, .. } => packed.instance.num_photos(),
+        }
+    }
 }
 
 /// The solution for one tenant.
@@ -72,7 +109,7 @@ pub struct TenantReport {
 /// Per-tenant outcome: solution or typed failure, plus the solve latency.
 #[derive(Debug, Clone)]
 pub struct TenantOutcome {
-    /// The tenant's name (from its universe).
+    /// The tenant's name ([`FleetTenant::name`]).
     pub name: String,
     /// Photos in the tenant's library.
     pub photos: usize,
@@ -81,30 +118,6 @@ pub struct TenantOutcome {
     pub result: Result<TenantReport>,
     /// Wall-clock represent+solve time for this tenant.
     pub latency: Duration,
-}
-
-impl TenantOutcome {
-    fn failed(tenant: &FleetTenant, error: PhocusError) -> Self {
-        TenantOutcome {
-            name: tenant.universe.name.clone(),
-            photos: tenant.universe.num_photos(),
-            result: Err(error),
-            latency: Duration::ZERO,
-        }
-    }
-}
-
-/// One unit of catalog-backed fleet work: a tenant already represented,
-/// loaded from a `phocus-pack` file with its shard labels alongside. The
-/// [`FleetEngine::run_packed`] path skips text parsing, validation, the
-/// representation pipeline, *and* the solver's union-find — the cold start
-/// the catalog exists to eliminate.
-#[derive(Debug, Clone)]
-pub struct PackedTenant {
-    /// Tenant name (from the catalog index).
-    pub name: String,
-    /// The loaded pack: instance + evaluator layout + shard labels.
-    pub packed: PackedInstance,
 }
 
 /// The fleet engine: holds a configuration, solves batches of tenants.
@@ -126,16 +139,16 @@ impl FleetEngine {
     /// the process-wide [`par_exec::Parallelism`]); each worker reuses one
     /// [`SolveScratch`] across all tenants it serves. Outcomes are
     /// bit-identical to solving each tenant alone with [`crate::Phocus`]
-    /// under the same representation.
+    /// under the same representation, and a packed tenant's outcome equals
+    /// that of the library it was packed from.
     pub fn run(&self, tenants: &[FleetTenant]) -> Vec<TenantOutcome> {
         // Largest-first (LPT): descending photo count, ties by input order,
         // so the schedule is deterministic.
         let mut order: Vec<usize> = (0..tenants.len()).collect();
         order.sort_by(|&a, &b| {
             tenants[b]
-                .universe
                 .num_photos()
-                .cmp(&tenants[a].universe.num_photos())
+                .cmp(&tenants[a].num_photos())
                 .then(a.cmp(&b))
         });
         // Each pool participant owns one scratch for its whole stream of
@@ -151,65 +164,24 @@ impl FleetEngine {
         indexed.into_iter().map(|(_, o)| o).collect()
     }
 
-    /// Solves a batch of **pre-represented** tenants (catalog pack loads),
-    /// outcomes in input order. Scheduling, arena reuse, and failure
-    /// isolation match [`run`](Self::run); the per-tenant work drops the
-    /// representation pipeline and the component union-find, both of which
-    /// the pack already paid at write time.
-    /// Outcomes are bit-identical to [`run`](Self::run) over the universes
-    /// the packs were built from, under the same representation.
-    pub fn run_packed(&self, tenants: &[PackedTenant]) -> Vec<TenantOutcome> {
-        let mut order: Vec<usize> = (0..tenants.len()).collect();
-        order.sort_by(|&a, &b| {
-            tenants[b]
-                .packed
-                .instance
-                .num_photos()
-                .cmp(&tenants[a].packed.instance.num_photos())
-                .then(a.cmp(&b))
-        });
-        let mut indexed: Vec<(usize, TenantOutcome)> =
-            par_exec::par_map_dynamic(order.len(), SolveScratch::default, |scratch, k| {
-                let i = order[k];
-                (i, self.solve_packed_tenant(&tenants[i], scratch))
-            });
-        indexed.sort_unstable_by_key(|&(i, _)| i);
-        indexed.into_iter().map(|(_, o)| o).collect()
-    }
-
-    fn solve_packed_tenant(&self, tenant: &PackedTenant, scratch: &mut SolveScratch) -> TenantOutcome {
-        let t0 = Instant::now(); // phocus-lint: allow(wall-clock) — fills the reported latency field only
-        let inst = &tenant.packed.instance;
-        let outcome = solve_in(inst, tenant.packed.labels.clone(), scratch);
-        TenantOutcome {
-            name: tenant.name.clone(),
-            photos: inst.num_photos(),
-            result: Ok(TenantReport {
-                selected: outcome.best.selected,
-                score: outcome.best.score,
-                cost: outcome.best.cost,
-                winner: outcome.winner,
-            }),
-            latency: t0.elapsed(),
-        }
-    }
-
     fn solve_tenant(&self, tenant: &FleetTenant, scratch: &mut SolveScratch) -> TenantOutcome {
         let t0 = Instant::now(); // phocus-lint: allow(wall-clock) — fills the reported latency field only
-        let inst = match represent(&tenant.universe, tenant.budget, &self.config.representation) {
-            Ok(inst) => inst,
-            Err(e) => return TenantOutcome::failed(tenant, e),
+        let prepared: Result<(Cow<'_, Instance>, ShardLabels)> = match tenant {
+            FleetTenant::Library { universe, budget } => {
+                represent(universe, *budget, &self.config.representation).map(|inst| {
+                    let labels = par_core::shard_labels(&inst);
+                    (Cow::Owned(inst), labels)
+                })
+            }
+            FleetTenant::Packed { packed, .. } => {
+                Ok((Cow::Borrowed(&packed.instance), packed.labels.clone()))
+            }
         };
-        let outcome = solve_in(&inst, par_core::shard_labels(&inst), scratch);
+        let result = prepared.map(|(inst, labels)| solve_in(&inst, labels, scratch));
         TenantOutcome {
-            name: tenant.universe.name.clone(),
-            photos: tenant.universe.num_photos(),
-            result: Ok(TenantReport {
-                selected: outcome.best.selected,
-                score: outcome.best.score,
-                cost: outcome.best.cost,
-                winner: outcome.winner,
-            }),
+            name: tenant.name().to_string(),
+            photos: tenant.num_photos(),
+            result,
             latency: t0.elapsed(),
         }
     }
@@ -217,22 +189,32 @@ impl FleetEngine {
 
 /// Algorithm 1 on one tenant through the CELF plan, every buffer drawn from
 /// (and returned to) the worker's `scratch`.
-fn solve_in(inst: &Instance, labels: ShardLabels, scratch: &mut SolveScratch) -> MainOutcome {
+fn solve_in(inst: &Instance, labels: ShardLabels, scratch: &mut SolveScratch) -> TenantReport {
     let solver = ShardedSolver::new_in_with_labels(inst, labels, scratch);
     let outcome = solver.main_algorithm(scratch);
     solver.recycle(scratch);
-    outcome
+    TenantReport {
+        selected: outcome.best.selected,
+        score: outcome.best.score,
+        cost: outcome.best.cost,
+        winner: outcome.winner,
+    }
 }
 
-/// Budgets a fleet uniformly: each tenant gets `fraction` of its own
-/// archive's total byte size (clamped to at least one byte so tiny archives
-/// stay representable).
+/// The budget that keeps `fraction` of an archive of `total_cost` bytes,
+/// clamped to at least one byte so tiny archives stay representable.
+pub fn fraction_budget(total_cost: u64, fraction: f64) -> u64 {
+    ((total_cost as f64 * fraction) as u64).max(1)
+}
+
+/// Budgets a fleet uniformly: each tenant gets [`fraction_budget`] of its
+/// own archive's total byte size.
 pub fn budget_by_fraction(universes: Vec<Universe>, fraction: f64) -> Vec<FleetTenant> {
     universes
         .into_iter()
         .map(|universe| {
-            let budget = ((universe.total_cost() as f64 * fraction) as u64).max(1);
-            FleetTenant { universe, budget }
+            let budget = fraction_budget(universe.total_cost(), fraction);
+            FleetTenant::Library { universe, budget }
         })
         .collect()
 }
@@ -253,51 +235,119 @@ mod tests {
         budget_by_fraction(universes, 0.3)
     }
 
+    fn library(t: &FleetTenant) -> (&Universe, u64) {
+        match t {
+            FleetTenant::Library { universe, budget } => (universe, *budget),
+            FleetTenant::Packed { .. } => panic!("expected a library tenant"),
+        }
+    }
+
+    /// The pack-loaded twin of a library tenant, under the same name.
+    fn packed_twin(t: &FleetTenant, representation: &RepresentationConfig) -> FleetTenant {
+        let (universe, budget) = library(t);
+        let inst = represent(universe, budget, representation).unwrap();
+        let bytes = par_core::pack_instance(&inst).unwrap();
+        FleetTenant::Packed {
+            name: universe.name.clone(),
+            packed: par_core::unpack_instance(&bytes).unwrap(),
+        }
+    }
+
+    /// Starves `t`: its required set alone now exceeds a one-byte budget,
+    /// so representation fails for it.
+    fn starve(t: &mut FleetTenant) {
+        let FleetTenant::Library { universe, budget } = t else {
+            panic!("expected a library tenant")
+        };
+        if universe.required.is_empty() {
+            universe.required.push(0);
+        }
+        *budget = 1;
+    }
+
+    fn assert_same(a: &TenantReport, b: &TenantReport) {
+        assert_eq!(a.selected, b.selected);
+        assert_eq!(a.score.to_bits(), b.score.to_bits());
+        assert_eq!(a.cost, b.cost);
+        assert_eq!(a.winner, b.winner);
+    }
+
     #[test]
     fn outcomes_come_back_in_input_order() {
         let tenants = small_fleet();
         let outcomes = FleetEngine::default().run(&tenants);
         assert_eq!(outcomes.len(), tenants.len());
         for (t, o) in tenants.iter().zip(&outcomes) {
-            assert_eq!(t.universe.name, o.name);
-            assert_eq!(t.universe.num_photos(), o.photos);
+            assert_eq!(t.name(), o.name);
+            assert_eq!(t.num_photos(), o.photos);
         }
     }
 
     #[test]
     fn arena_reuse_is_bit_identical_to_fresh_allocation() {
-        // One scratch serves every tenant, text then packed path, so all but
-        // the first solve run through a dirty scratch; so do the batch
-        // entry points. Each must match a fresh-allocation solve.
-        let tenants = small_fleet();
+        // One scratch serves every tenant, library then packed twin, so all
+        // but the first solve run through a dirty scratch; so does the
+        // batch entry point over the mixed fleet. Each must match a
+        // fresh-allocation solve.
         let representation = RepresentationConfig::default();
         let engine = FleetEngine::new(FleetEngineConfig {
             representation: representation.clone(),
         });
-        let mut packed = Vec::new();
+        let mut mixed = Vec::new();
         let mut fresh = Vec::new();
-        for t in &tenants {
-            let inst = represent(&t.universe, t.budget, &representation).unwrap();
-            fresh.push(par_algo::main_algorithm_sharded(&inst));
-            let bytes = par_core::pack_instance(&inst).unwrap();
-            packed.push(PackedTenant {
-                name: t.universe.name.clone(),
-                packed: par_core::unpack_instance(&bytes).unwrap(),
-            });
+        for t in small_fleet() {
+            let (universe, budget) = library(&t);
+            let inst = represent(universe, budget, &representation).unwrap();
+            let f = par_algo::main_algorithm_sharded(&inst);
+            let f = TenantReport {
+                selected: f.best.selected,
+                score: f.best.score,
+                cost: f.best.cost,
+                winner: f.winner,
+            };
+            fresh.extend([f.clone(), f]);
+            let twin = packed_twin(&t, &representation);
+            mixed.extend([t, twin]);
         }
         let mut scratch = SolveScratch::default();
-        let dirty: Vec<Vec<TenantOutcome>> = vec![
-            tenants.iter().map(|t| engine.solve_tenant(t, &mut scratch)).collect(),
-            packed.iter().map(|t| engine.solve_packed_tenant(t, &mut scratch)).collect(),
-        ];
-        for outcomes in dirty.into_iter().chain([engine.run(&tenants), engine.run_packed(&packed)]) {
+        let dirty: Vec<TenantOutcome> = mixed
+            .iter()
+            .map(|t| engine.solve_tenant(t, &mut scratch))
+            .collect();
+        for outcomes in [dirty, engine.run(&mixed)] {
             for (o, f) in outcomes.iter().zip(&fresh) {
-                let r = o.result.as_ref().expect("fleet tenant solves");
-                assert_eq!(r.selected, f.best.selected);
-                assert_eq!(r.score.to_bits(), f.best.score.to_bits());
-                assert_eq!(r.cost, f.best.cost);
-                assert_eq!(r.winner, f.winner);
+                assert_same(o.result.as_ref().expect("fleet tenant solves"), f);
             }
+        }
+    }
+
+    #[test]
+    fn mixed_batch_packed_tenants_match_their_library_twins() {
+        let representation = RepresentationConfig::default();
+        let mut mixed = Vec::new();
+        for t in small_fleet() {
+            let twin = packed_twin(&t, &representation);
+            mixed.extend([t, twin]);
+        }
+        let victim = 4; // a library tenant: even positions are libraries
+        starve(&mut mixed[victim]);
+        let outcomes = FleetEngine::default().run(&mixed);
+        assert_eq!(outcomes.len(), mixed.len());
+        for (i, (t, o)) in mixed.iter().zip(&outcomes).enumerate() {
+            assert_eq!(t.name(), o.name, "outcome {i} out of input order");
+            assert_eq!(t.num_photos(), o.photos);
+            assert_eq!(o.result.is_err(), i == victim, "tenant {i}");
+        }
+        for (i, pair) in outcomes.chunks(2).enumerate() {
+            if 2 * i == victim {
+                continue;
+            }
+            let (lib, packed) = (&pair[0], &pair[1]);
+            assert!(matches!(mixed[2 * i + 1], FleetTenant::Packed { .. }));
+            assert_same(
+                packed.result.as_ref().expect("packed tenant solves"),
+                lib.result.as_ref().expect("library tenant solves"),
+            );
         }
     }
 
@@ -306,8 +356,9 @@ mod tests {
         let tenants = small_fleet();
         let outcomes = FleetEngine::default().run(&tenants);
         for (t, o) in tenants.iter().zip(&outcomes) {
+            let (universe, budget) = library(t);
             let solo = crate::Phocus::default()
-                .solve(&t.universe, t.budget)
+                .solve(universe, budget)
                 .expect("solo solve succeeds");
             let batch = o.result.as_ref().expect("batch solve succeeds");
             assert_eq!(batch.selected, solo.selected);
@@ -319,23 +370,8 @@ mod tests {
     #[test]
     fn a_failing_tenant_does_not_fail_the_batch() {
         let mut tenants = small_fleet();
-        // Starve one tenant: a one-byte budget is below any required set or
-        // representable solution only when photos cost more than a byte, but
-        // represent() itself succeeds — so instead poison the universe with
-        // an unsatisfiable required set by shrinking the budget below the
-        // required photos' cost.
         let victim = 2;
-        let required_cost: u64 = tenants[victim]
-            .universe
-            .required
-            .iter()
-            .map(|&i| tenants[victim].universe.costs[i as usize])
-            .sum();
-        if required_cost == 0 {
-            // Ensure the victim actually has a required photo to starve.
-            tenants[victim].universe.required.push(0);
-        }
-        tenants[victim].budget = 1;
+        starve(&mut tenants[victim]);
         let outcomes = FleetEngine::default().run(&tenants);
         assert!(outcomes[victim].result.is_err(), "starved tenant fails");
         for (i, o) in outcomes.iter().enumerate() {

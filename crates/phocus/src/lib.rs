@@ -41,16 +41,15 @@ pub mod solver;
 pub mod suite;
 
 pub use compression::{
-    compare_remove_vs_compress, epsilon_free_score,
-    expand_with_variants, multi_action_frontier, prune_and_refill, represent_with_variants,
-    solve_multi_action, ActionLadder, CompressionComparison, CompressionLevel, FrontierPoint,
+    epsilon_free_score, expand_with_variants, multi_action_frontier, prune_and_refill,
+    represent_with_variants, solve_multi_action, ActionLadder, CompressionLevel, FrontierPoint,
     MultiActionSolve, VariantMap, DEFAULT_LADDER,
 };
 pub use catalog::{Catalog, CatalogBuilder, CatalogEntry};
 pub use error::{PhocusError, Result};
 pub use fleet::{
-    budget_by_fraction, FleetEngine, FleetEngineConfig, FleetTenant, PackedTenant, TenantOutcome,
-    TenantReport,
+    budget_by_fraction, fraction_budget, FleetEngine, FleetEngineConfig, FleetTenant,
+    TenantOutcome, TenantReport,
 };
 pub use par_exec::Parallelism;
 pub use planner::{minimal_budget, BudgetPlan};

@@ -68,19 +68,6 @@ impl ArchiveSession {
         }
     }
 
-    /// Opens a session from a loaded `phocus-pack` image: the epoch-0 warm
-    /// start. The instance and its component labels arrive prebuilt, so
-    /// residence costs no text parse, no representation, and no union-find —
-    /// the first [`resolve`](Self::resolve) goes straight to live solving
-    /// and later epochs replay exactly as with [`new`](Self::new).
-    pub fn from_packed(packed: par_core::PackedInstance) -> Self {
-        ArchiveSession {
-            solver: IncrementalSolver::with_labels(packed.instance, packed.labels),
-            epoch: 0,
-            last_delta: None,
-        }
-    }
-
     /// The live (post-all-applied-deltas) instance.
     pub fn instance(&self) -> &Instance {
         self.solver.instance()

@@ -8,6 +8,7 @@
 //! (see `ci.sh`).
 
 use par_core::fixtures::{random_instance, RandomInstanceConfig};
+use par_core::pack::VERSION;
 use par_core::{
     fnv1a64, pack_instance, unpack_instance, InstanceBuilder, ModelError, PhotoId, SparseSim,
     SubsetId, UnitSimilarity,
@@ -290,10 +291,10 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// Pack layout constants mirrored from `par_core::pack` (the format spec in
-/// DESIGN.md §15): 16-byte header, 32-byte table entries, 9 sections.
+/// DESIGN.md §15): 16-byte header, 32-byte table entries, 8 sections.
 const PACK_HEADER: usize = 16;
 const PACK_ENTRY: usize = 32;
-const PACK_SECTIONS: usize = 9;
+const PACK_SECTIONS: usize = 8;
 
 /// A small but structurally complete valid pack (sparse similarities, a
 /// required photo, multiple components) the corruption cases start from.
@@ -340,8 +341,8 @@ fn corrupt_pack_structurally(bytes: &mut Vec<u8>, mode: u64, raw: u64) {
             let cut = raw as usize % bytes.len();
             bytes.truncate(cut);
         }
-        // Version skew.
-        1 => bytes[8..12].copy_from_slice(&(2 + (raw as u32) % 1000).to_le_bytes()),
+        // Version skew: any version past the one the reader supports.
+        1 => bytes[8..12].copy_from_slice(&(VERSION + 1 + (raw as u32) % 1000).to_le_bytes()),
         // A section count far past MAX_SECTIONS: the reader must reject it
         // before sizing anything from it.
         2 => bytes[12..16].copy_from_slice(&u32::MAX.to_le_bytes()),
