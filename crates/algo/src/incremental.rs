@@ -2,8 +2,8 @@
 //!
 //! [`IncrementalSolver`] keeps an archive's solve state alive across epochs.
 //! Each epoch, an [`EpochDelta`] is applied through
-//! [`par_core::delta`] — which maintains the component labeling
-//! incrementally and marks exactly the touched components dirty — and
+//! [`par_core::delta`] — which relabels the post-delta instance and marks
+//! exactly the touched components dirty — and
 //! [`IncrementalSolver::resolve`] re-runs Algorithm 1 with the
 //! component-sharded coordinator of [`crate::sharded`], except that **clean
 //! shards replay their recorded stream transcripts** instead of re-running

@@ -31,8 +31,8 @@
 //!    to recompute to the same key bits, so the recomputation is skipped.
 //! 3. **The singleton pool**: photos forming singleton components share no
 //!    stored pair with anyone, so their seed keys are *frozen* — exact for
-//!    the whole run. The pool's stream is a cursor over entries pre-sorted
-//!    in pop order (cached per rule at prepare time) instead of a heap.
+//!    the whole run. The pool's stream is a cursor over entries sorted in
+//!    pop order when the solve builds its streams, instead of a heap.
 //!
 //! The plan amortizes all rule-independent work across solves: the
 //! labeling, the `S₀` replay, and the epoch-0 seed sweep (marginal gains at
@@ -408,11 +408,6 @@ pub struct ShardedSolver<'a> {
     /// Rule-independent: each solve derives its heap keys as
     /// `rule.key(δ, cost)`, bit-identical to the global seeding.
     seed: Vec<f64>,
-    /// The singleton pool's seed entries pre-sorted in pop order, one vector
-    /// per greedy rule (indexed by [`rule_index`]; empty without a pool).
-    /// Pool keys are frozen, so a cold solve copies the right vector instead
-    /// of re-keying and sorting the (often largest) shard.
-    pool_sorted: [Vec<Entry>; 2],
 }
 
 impl<'a> ShardedSolver<'a> {
@@ -497,28 +492,12 @@ impl<'a> ShardedSolver<'a> {
             }
         }
         let base_stats = base.stats();
-        let pool_sorted = [GreedyRule::UnitCost, GreedyRule::CostBenefit].map(|rule| {
-            let mut entries = Vec::new();
-            if let Some(pool) = pool {
-                let keep = |p| !base.is_selected(p);
-                frozen_entries(
-                    inst,
-                    &dec.shards[pool].photos,
-                    &seed,
-                    rule,
-                    keep,
-                    &mut entries,
-                );
-            }
-            entries
-        });
         ShardedSolver {
             inst,
             dec,
             base,
             base_stats,
             seed,
-            pool_sorted,
         }
     }
 
@@ -626,15 +605,8 @@ impl<'a> ShardedSolver<'a> {
             let state = if Some(s) == pool {
                 let mut buf = scratch.entries.pop().unwrap_or_default();
                 buf.clear();
-                if initial.is_none() {
-                    // Filtering the pre-sorted entries preserves their pop
-                    // order.
-                    let sorted = &self.pool_sorted[rule_index(rule)];
-                    buf.extend(sorted.iter().filter(|e| ev.fits(e.photo, budget)));
-                } else {
-                    let keep = |p| !ev.is_selected(p) && ev.fits(p, budget);
-                    frozen_entries(inst, &shard.photos, seed, rule, keep, &mut buf);
-                }
+                let keep = |p| !ev.is_selected(p) && ev.fits(p, budget);
+                frozen_entries(inst, &shard.photos, seed, rule, keep, &mut buf);
                 StreamState::Frozen {
                     entries: buf,
                     cursor: 0,

@@ -42,12 +42,9 @@ pub struct ComponentView {
 /// The labeling part of a component decomposition: which shard every photo
 /// belongs to.
 ///
-/// This is the state the epoch-delta layer ([`crate::delta`]) maintains
-/// incrementally: applying a delta re-labels only the *dirty* components and
-/// copies clean labels through, and the result must equal a from-scratch
-/// [`shard_labels`] of the post-delta instance exactly — same partition,
-/// same shard numbers (pinned by proptests in the integration suite).
-/// Derives `PartialEq`/`Eq` so that equality check is a one-liner.
+/// The epoch-delta layer ([`crate::delta`]) labels every post-delta
+/// instance with [`shard_labels`]; a pack load ([`crate::pack`]) installs
+/// stored labels after checking them sound for its instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardLabels {
     /// `photo_shard[p]` = shard index of photo `p`'s component.
@@ -83,8 +80,29 @@ impl ShardLabels {
         self.singleton_pool
     }
 
-    /// Assembles labels from raw parts (used by the incremental maintenance
-    /// in [`crate::delta`]).
+    /// Checks that the labels are sound for `inst`: every interaction edge
+    /// joins two photos of one shard, and no photo of the singleton pool has
+    /// one. These are the properties the plan's exactness rests on (the
+    /// pool is solved as independent frozen singletons); the canonical shard
+    /// numbering of [`shard_labels`] is not required. Returns what failed.
+    pub(crate) fn check_sound(&self, inst: &Instance) -> Result<(), &'static str> {
+        let pool = self.singleton_pool.map(|p| p as u32);
+        let mut failure = None;
+        for_each_interaction(inst, |a, b| {
+            if a == b || failure.is_some() {
+                return;
+            }
+            let (sa, sb) = (self.photo_shard[a as usize], self.photo_shard[b as usize]);
+            if sa != sb {
+                failure = Some("an interaction edge crosses two shards");
+            } else if Some(sa) == pool {
+                failure = Some("a singleton-pool photo has an interaction edge");
+            }
+        });
+        failure.map_or(Ok(()), Err)
+    }
+
+    /// Assembles labels from raw parts (the pack reader's LABELS section).
     pub(crate) fn from_parts(
         photo_shard: Vec<u32>,
         num_shards: usize,
@@ -110,9 +128,9 @@ pub struct Decomposition {
 
 impl Decomposition {
     /// Groups the photos by `labels` — resident labels from the epoch-delta
-    /// layer or labels bulk-read from a `phocus-pack` file, which must equal
-    /// `shard_labels` of their instance (the pack writer derives them
-    /// exactly so; the delta layer's are pinned equal by proptest).
+    /// layer (`shard_labels` of the post-delta instance) or labels bulk-read
+    /// from a `phocus-pack` file (written as `shard_labels`, checked sound
+    /// for their instance at load).
     pub fn from_labels(labels: ShardLabels) -> Self {
         let mut shards: Vec<ComponentView> = (0..labels.num_shards())
             .map(|_| ComponentView { photos: Vec::new() })
@@ -149,23 +167,20 @@ impl Decomposition {
 }
 
 /// Union-find over photo ids with path halving and union by size.
-///
-/// Crate-visible so the epoch-delta layer ([`crate::delta`]) can reuse it to
-/// re-cluster dirty photos with identical union semantics.
-pub(crate) struct Dsu {
+struct Dsu {
     parent: Vec<u32>,
-    pub(crate) size: Vec<u32>,
+    size: Vec<u32>,
 }
 
 impl Dsu {
-    pub(crate) fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         Dsu {
             parent: (0..n as u32).collect(),
             size: vec![1; n],
         }
     }
 
-    pub(crate) fn find(&mut self, mut x: u32) -> u32 {
+    fn find(&mut self, mut x: u32) -> u32 {
         while self.parent[x as usize] != x {
             let grand = self.parent[self.parent[x as usize] as usize];
             self.parent[x as usize] = grand;
@@ -174,7 +189,7 @@ impl Dsu {
         x
     }
 
-    pub(crate) fn union(&mut self, a: u32, b: u32) {
+    fn union(&mut self, a: u32, b: u32) {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra == rb {
             return;
@@ -189,27 +204,26 @@ impl Dsu {
     }
 }
 
-/// Runs the interaction-graph union pass for `inst` into `dsu`.
-///
-/// Shared by the full [`shard_labels`] pass and the delta layer (which runs
-/// it over the post-delta instance restricted to dirty photos).
-pub(crate) fn union_interactions(inst: &Instance, dsu: &mut Dsu) {
+/// Visits every interaction edge of `inst` as a photo-id pair: one per
+/// stored pair of a sparse store, and a chain over the member list of a
+/// dense or unit store (which couples every co-member pair, so the chain
+/// connects the whole clique). Shared by [`shard_labels`], which unions the
+/// endpoints, and [`ShardLabels::check_sound`], which checks them.
+fn for_each_interaction(inst: &Instance, mut edge: impl FnMut(u32, u32)) {
     for q in inst.subsets() {
         match inst.sim(q.id) {
             ContextSim::Sparse(sp) => {
-                // One union per stored pair: photos without a stored edge in
-                // any query never influence each other's gains.
+                // Photos without a stored edge in any query never influence
+                // each other's gains.
                 for (pos, &m) in q.members.iter().enumerate() {
                     for &j in sp.neighbors(pos).0 {
-                        dsu.union(m.0, q.members[j as usize].0);
+                        edge(m.0, q.members[j as usize].0);
                     }
                 }
             }
-            // Dense and Unit stores couple every co-member pair; a chain
-            // union over the member list merges the whole clique.
             _ => {
                 for w in q.members.windows(2) {
-                    dsu.union(w[0].0, w[1].0);
+                    edge(w[0].0, w[1].0);
                 }
             }
         }
@@ -221,13 +235,11 @@ pub(crate) fn union_interactions(inst: &Instance, dsu: &mut Dsu) {
 ///
 /// Numbering: components in first-seen order by ascending photo id, with all
 /// single-photo components collapsed onto one pool shard (when there are at
-/// least two of them). This is the cheap prefix of [`decompose`] and the
-/// ground truth the incremental relabeling in [`crate::delta`] must
-/// reproduce exactly.
+/// least two of them). This is the cheap prefix of [`decompose`].
 pub fn shard_labels(inst: &Instance) -> ShardLabels {
     let n = inst.num_photos();
     let mut dsu = Dsu::new(n);
-    union_interactions(inst, &mut dsu);
+    for_each_interaction(inst, |a, b| dsu.union(a, b));
 
     let mut singletons = 0usize;
     for p in 0..n as u32 {

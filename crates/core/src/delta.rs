@@ -11,11 +11,9 @@
 //!   relative order, additions append) — so every cached quantity that
 //!   depends only on iteration *order* (membership walks, CSR row order,
 //!   smaller-id tie-breaks) stays bit-valid;
-//! * the **post-delta shard labeling**, maintained incrementally: only the
-//!   components actually touched by the delta are re-clustered, clean
-//!   components carry their labels through, and the resulting
-//!   [`ShardLabels`] is *identical* — same partition, same shard numbers —
-//!   to a from-scratch [`shard_labels`] of the post-delta instance;
+//! * the **post-delta shard labeling**, [`shard_labels`] of the post-delta
+//!   instance (a full union-find pass costs about as much as re-clustering
+//!   only the touched components did, and leaves one labeling path);
 //! * **dirty marks** at photo and shard granularity, which the incremental
 //!   solver in `par-algo` uses to decide which per-shard CELF stream
 //!   transcripts can be replayed and which must be re-run.
@@ -40,17 +38,20 @@
 //! No post-delta interaction edge ever connects a clean photo to a dirty
 //! one: pre-existing edges lie inside a single old component (marked as a
 //! unit) and new edges dirty both endpoints' components. Clean components
-//! therefore survive verbatim and the incremental re-labeling only has to
-//! run union-find over the dirty photos.
+//! therefore survive verbatim, which is what lets the incremental solver
+//! replay their transcripts (the churn proptest in the integration suite
+//! asserts it on every epoch).
 //!
 //! Relevance vectors are **never re-normalized** when members are removed:
 //! the surviving entries keep their exact bits, so clean photos'
 //! `W·R` products — and hence their cached marginal-gain bits — are
 //! preserved. Added queries are normalized exactly like
-//! [`crate::InstanceBuilder`] does.
+//! [`crate::InstanceBuilder`] does, and the post-delta instance goes through
+//! the same model check as a built one (zero costs, empty or duplicate
+//! members, bad weights or relevance, `S₀` over budget).
 
-use crate::components::{shard_labels, Dsu, ShardLabels};
-use crate::instance::Instance;
+use crate::components::{shard_labels, ShardLabels};
+use crate::instance::{normalized_relevance, Instance};
 use crate::sim::{ContextSim, DenseSim, SparseSim};
 use crate::{ModelError, Photo, PhotoId, Result, Subset, SubsetId};
 use std::sync::Arc;
@@ -133,9 +134,8 @@ impl EpochDelta {
     }
 
     /// Applies the delta to `inst` (whose current labeling is `labels`),
-    /// producing the post-delta instance, the incrementally maintained
-    /// labeling, and the dirty marks. See the [module docs](self) for the
-    /// exact semantics and invariants.
+    /// producing the post-delta instance, its labeling, and the dirty marks.
+    /// See the [module docs](self) for the exact semantics and invariants.
     pub fn apply(&self, inst: &Instance, labels: &ShardLabels) -> Result<AppliedDelta> {
         debug_assert_eq!(
             labels,
@@ -176,11 +176,6 @@ impl EpochDelta {
             }
         }
         let first_new = next;
-        for (k, add) in self.add_photos.iter().enumerate() {
-            if add.cost == 0 {
-                return Err(ModelError::ZeroCostPhoto(PhotoId(first_new + k as u32)));
-            }
-        }
 
         // ---- photos and the new ⇄ old id maps ----
         let n_new = (first_new as usize) + self.add_photos.len();
@@ -200,13 +195,6 @@ impl EpochDelta {
                 add.cost,
             ));
             origin.push(None);
-        }
-        if photos.is_empty() {
-            return Err(ModelError::NoPhotos);
-        }
-        let mut total: u64 = 0;
-        for p in &photos {
-            total = total.checked_add(p.cost).ok_or(ModelError::CostOverflow)?;
         }
 
         // ---- required set ----
@@ -237,14 +225,7 @@ impl EpochDelta {
             .filter(|(_, &f)| f)
             .map(|(p, _)| PhotoId(p as u32))
             .collect();
-        let required_cost: u64 = required_ids.iter().map(|&r| photos[r.index()].cost).sum();
         let budget = self.set_budget.unwrap_or(inst.budget());
-        if required_cost > budget {
-            return Err(ModelError::RequiredSetOverBudget {
-                required_cost,
-                budget,
-            });
-        }
 
         // ---- surviving queries: compact members, keep relevance bits ----
         let mut subsets: Vec<Subset> = Vec::new();
@@ -305,87 +286,44 @@ impl EpochDelta {
             }
         }
 
-        // ---- added queries: builder-style validation and normalization ----
+        // ---- added queries: resolve member references, normalize like the
+        // builder; the model check in `Instance::assemble` does the rest ----
         for qa in &self.add_queries {
             // phocus-lint: allow(cast-bounds) — total query count validated ≤ u32 in pack/build
             let id = SubsetId(subsets.len() as u32);
-            if qa.members.is_empty() {
-                return Err(ModelError::EmptySubset(id));
-            }
-            if !qa.weight.is_finite() || qa.weight <= 0.0 {
-                return Err(ModelError::InvalidWeight {
-                    subset: id,
-                    value: qa.weight,
-                });
-            }
             let mut members = Vec::with_capacity(qa.members.len());
-            let mut seen = vec![false; n_new];
             for &m in &qa.members {
-                let new_id = match m {
-                    MemberRef::Existing(p) => {
-                        if p.index() >= n {
-                            return Err(ModelError::UnknownPhoto(p));
-                        }
-                        match remap[p.index()] {
-                            Some(new_id) => new_id,
-                            None => return Err(ModelError::UnknownPhoto(p)),
-                        }
-                    }
+                members.push(match m {
+                    MemberRef::Existing(p) => remap
+                        .get(p.index())
+                        .copied()
+                        .flatten()
+                        .ok_or(ModelError::UnknownPhoto(p))?,
+                    MemberRef::New(k) if k < self.add_photos.len() => PhotoId(first_new + k as u32),
                     MemberRef::New(k) => {
-                        if k >= self.add_photos.len() {
-                            return Err(ModelError::UnknownPhoto(PhotoId(
-                                first_new.saturating_add(k as u32),
-                            )));
-                        }
-                        PhotoId(first_new + k as u32)
+                        return Err(ModelError::UnknownPhoto(PhotoId(
+                            first_new.saturating_add(k as u32),
+                        )))
                     }
-                };
-                if seen[new_id.index()] {
-                    return Err(ModelError::DuplicateMember {
-                        subset: id,
-                        photo: new_id,
-                    });
-                }
-                seen[new_id.index()] = true;
-                members.push(new_id);
-            }
-            let mut relevance = if qa.relevance.is_empty() {
-                vec![1.0; members.len()]
-            } else {
-                qa.relevance.clone()
-            };
-            if relevance.len() != members.len() {
-                return Err(ModelError::RelevanceLengthMismatch {
-                    subset: id,
-                    members: members.len(),
-                    relevances: relevance.len(),
                 });
             }
-            let mut sum = 0.0;
-            for &r in &relevance {
-                if !r.is_finite() || r <= 0.0 {
-                    return Err(ModelError::InvalidRelevance {
-                        subset: id,
-                        value: r,
-                    });
-                }
-                sum += r;
-            }
-            for r in &mut relevance {
-                *r /= sum;
-            }
+            let relevance = if qa.relevance.is_empty() {
+                normalized_relevance(&vec![1.0; members.len()])
+            } else {
+                normalized_relevance(&qa.relevance)
+            };
             let store = SparseSim::from_pairs(id, members.len(), qa.pairs.iter().copied())?;
             subsets.push(Subset {
                 id,
                 label: qa.label.as_str().into(),
                 weight: qa.weight,
                 members,
-                relevance: relevance.into(),
+                relevance,
             });
             sims.push(Arc::new(ContextSim::Sparse(store)));
         }
 
-        let instance = Instance::assemble(photos, required_ids, subsets, budget, sims);
+        let instance = Instance::assemble(photos, required_ids, subsets, budget, |_| Ok(sims))?;
 
         // ---- dirty marks on the pre-delta instance ----
         // Component granularity: whole shard for regular shards, single
@@ -431,13 +369,8 @@ impl EpochDelta {
             };
         }
 
-        // ---- incremental re-labeling ----
-        let new_labels = relabel(labels, &instance, &origin, &dirty_photos);
-        debug_assert_eq!(
-            new_labels,
-            shard_labels(&instance),
-            "incremental relabel diverged from from-scratch shard_labels"
-        );
+        // ---- post-delta labeling ----
+        let new_labels = shard_labels(&instance);
         let mut dirty_shards = vec![false; new_labels.num_shards()];
         for (p, &d) in dirty_photos.iter().enumerate() {
             if d {
@@ -463,145 +396,8 @@ pub fn apply_delta(inst: &Instance, delta: &EpochDelta) -> Result<AppliedDelta> 
     delta.apply(inst, &shard_labels(inst))
 }
 
-/// Incrementally re-labels the post-delta instance: clean components carry
-/// their grouping through, dirty photos are re-clustered with union-find
-/// over only the queries that contain a dirty member, and the shard
-/// numbering pass reproduces [`shard_labels`]' first-seen-ascending order
-/// (with singleton pooling) exactly.
-fn relabel(
-    old: &ShardLabels,
-    new_inst: &Instance,
-    origin: &[Option<PhotoId>],
-    dirty: &[bool],
-) -> ShardLabels {
-    let n_new = new_inst.num_photos();
-    let pool_old = old.singleton_pool();
-
-    // Union pass restricted to dirty photos. No post-delta edge connects a
-    // clean photo to a dirty one (see module docs), so this reconstructs
-    // exactly the components that changed.
-    let mut dsu = Dsu::new(n_new);
-    let mut affected: Vec<bool> = vec![false; new_inst.num_subsets()];
-    for (p, &d) in dirty.iter().enumerate() {
-        if d {
-            // phocus-lint: allow(cast-bounds) — p < n_new, and PhotoId is u32
-            for m in new_inst.memberships(PhotoId(p as u32)) {
-                affected[m.subset.index()] = true;
-            }
-        }
-    }
-    for q in new_inst.subsets() {
-        if !affected[q.id.index()] {
-            continue;
-        }
-        match new_inst.sim(q.id) {
-            ContextSim::Sparse(sp) => {
-                for (pos, &m) in q.members.iter().enumerate() {
-                    for &j in sp.neighbors(pos).0 {
-                        let other = q.members[j as usize];
-                        debug_assert_eq!(
-                            dirty[m.index()],
-                            dirty[other.index()],
-                            "interaction edge crosses the clean/dirty boundary"
-                        );
-                        if dirty[m.index()] && dirty[other.index()] {
-                            dsu.union(m.0, other.0);
-                        }
-                    }
-                }
-            }
-            _ => {
-                // Dense/unit stores couple all members into one clique, so a
-                // query with any dirty member has only dirty members.
-                debug_assert!(q.members.iter().all(|&m| dirty[m.index()]));
-                for w in q.members.windows(2) {
-                    dsu.union(w[0].0, w[1].0);
-                }
-            }
-        }
-    }
-
-    // Per-old-shard surviving-photo counts: clean shards keep all photos,
-    // so the old count is the new component size.
-    let mut old_shard_size = vec![0u32; old.num_shards()];
-    for &s in old.photo_shards() {
-        old_shard_size[s as usize] += 1;
-    }
-
-    // Component key of each new photo, plus the component size (needed for
-    // singleton detection):
-    //   clean, old pool member      → its own one-photo component;
-    //   clean, regular old shard s  → the intact old component s;
-    //   dirty                       → its DSU root.
-    let component_size = |dsu: &mut Dsu, p: usize| -> u32 {
-        if dirty[p] {
-            // phocus-lint: allow(cast-bounds) — p < n_new, the DSU's own size
-            let root = dsu.find(p as u32) as usize;
-            dsu.size[root]
-        } else {
-            match origin[p] {
-                Some(old_id) => {
-                    let s = old.shard_of(old_id);
-                    if pool_old == Some(s) {
-                        1
-                    } else {
-                        old_shard_size[s]
-                    }
-                }
-                None => unreachable!("clean photos always have an origin"),
-            }
-        }
-    };
-    let mut singletons = 0usize;
-    for p in 0..n_new {
-        if component_size(&mut dsu, p) == 1 {
-            singletons += 1;
-        }
-    }
-    let merge_singletons = singletons >= 2;
-
-    // First-seen-ascending numbering, mirroring `shard_labels` exactly.
-    let mut shard_for_old = vec![u32::MAX; old.num_shards()];
-    let mut shard_for_root = vec![u32::MAX; n_new];
-    let mut pool_shard = u32::MAX;
-    let mut next = 0u32;
-    let mut photo_shard = vec![0u32; n_new];
-    for p in 0..n_new {
-        let shard = if merge_singletons && component_size(&mut dsu, p) == 1 {
-            if pool_shard == u32::MAX {
-                pool_shard = next;
-                next += 1;
-            }
-            pool_shard
-        } else {
-            let slot = if dirty[p] {
-                // phocus-lint: allow(cast-bounds) — p < n_new, the DSU's own size
-                let root = dsu.find(p as u32) as usize;
-                &mut shard_for_root[root]
-            } else {
-                match origin[p] {
-                    Some(old_id) => &mut shard_for_old[old.shard_of(old_id)],
-                    None => unreachable!("clean photos always have an origin"),
-                }
-            };
-            if *slot == u32::MAX {
-                *slot = next;
-                next += 1;
-            }
-            *slot
-        };
-        photo_shard[p] = shard;
-    }
-
-    ShardLabels::from_parts(
-        photo_shard,
-        next as usize,
-        (pool_shard != u32::MAX).then_some(pool_shard as usize),
-    )
-}
-
-/// The result of applying an [`EpochDelta`]: the post-delta instance, the
-/// incrementally maintained labeling, the id maps, and the dirty marks the
+/// The result of applying an [`EpochDelta`]: the post-delta instance, its
+/// labeling, the id maps, and the dirty marks the
 /// incremental solver keys its transcript cache on.
 #[derive(Debug)]
 pub struct AppliedDelta {
@@ -643,8 +439,8 @@ mod tests {
         random_instance(seed, &RandomInstanceConfig::default()).sparsify(0.8)
     }
 
-    /// Structural ground truth: labels from the incremental path must equal
-    /// the from-scratch labeling of the post-delta instance.
+    /// Structural ground truth: the post-delta labels are the from-scratch
+    /// labeling of the post-delta instance.
     fn check(inst: &Instance, delta: &EpochDelta) -> AppliedDelta {
         let applied = apply_delta(inst, delta).unwrap();
         assert_eq!(applied.labels, shard_labels(&applied.instance));
@@ -906,6 +702,56 @@ mod tests {
             apply_delta(&inst, &dup_member),
             Err(ModelError::DuplicateMember { .. })
         ));
+
+        // Added queries go through the same model check as built ones; the
+        // new query's id is the first past the surviving subsets.
+        let added = SubsetId(inst.num_subsets() as u32);
+        let query = |weight: f64, members: Vec<MemberRef>, relevance: Vec<f64>| EpochDelta {
+            add_queries: vec![QueryAdd {
+                label: "added".into(),
+                weight,
+                members,
+                relevance,
+                pairs: vec![],
+            }],
+            ..Default::default()
+        };
+        let pair = || {
+            vec![
+                MemberRef::Existing(PhotoId(1)),
+                MemberRef::Existing(PhotoId(2)),
+            ]
+        };
+        assert_eq!(
+            apply_delta(&inst, &query(1.0, vec![], vec![])).unwrap_err(),
+            ModelError::EmptySubset(added)
+        );
+        for weight in [0.0, -2.0, f64::NAN, f64::INFINITY] {
+            assert!(
+                matches!(
+                    apply_delta(&inst, &query(weight, pair(), vec![])),
+                    Err(ModelError::InvalidWeight { subset, .. }) if subset == added
+                ),
+                "weight {weight}"
+            );
+        }
+        for bad in [0.0, -1.0, f64::NAN] {
+            assert!(
+                matches!(
+                    apply_delta(&inst, &query(1.0, pair(), vec![1.0, bad])),
+                    Err(ModelError::InvalidRelevance { subset, .. }) if subset == added
+                ),
+                "relevance {bad}"
+            );
+        }
+        assert_eq!(
+            apply_delta(&inst, &query(1.0, pair(), vec![1.0, 2.0, 3.0])).unwrap_err(),
+            ModelError::RelevanceLengthMismatch {
+                subset: added,
+                members: 2,
+                relevances: 3
+            }
+        );
     }
 
     #[test]
@@ -939,8 +785,7 @@ mod tests {
     #[test]
     fn random_churn_matches_from_scratch_labels() {
         // Randomized end-to-end: a chain of mixed deltas over a sparsified
-        // instance, checking the incremental labels against from-scratch at
-        // every step (the debug_assert inside apply double-checks too).
+        // instance, checking the labels against from-scratch at every step.
         let mut inst = sparse_fixture(0xFEED_0001);
         let mut labels = shard_labels(&inst);
         let mut rng = crate::fixtures::SplitMix64::new(0xFEED_0002);

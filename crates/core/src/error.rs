@@ -63,6 +63,9 @@ pub enum ModelError {
     },
     /// A photo was declared with zero cost, which breaks cost-benefit rules.
     ZeroCostPhoto(PhotoId),
+    /// The stored mandatory-retention set `S₀` is not strictly ascending:
+    /// the photo listed out of order (or twice).
+    RequiredNotAscending(PhotoId),
     /// The mandatory-retention set `S₀` alone exceeds the budget.
     RequiredSetOverBudget {
         /// Total cost of `S₀` in bytes.
@@ -127,6 +130,9 @@ impl fmt::Display for ModelError {
                  but the subset has only {members} members"
             ),
             ModelError::ZeroCostPhoto(p) => write!(f, "photo {p} has zero cost"),
+            ModelError::RequiredNotAscending(p) => {
+                write!(f, "required set lists photo {p} out of ascending order")
+            }
             ModelError::RequiredSetOverBudget {
                 required_cost,
                 budget,

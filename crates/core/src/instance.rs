@@ -2,10 +2,15 @@
 //!
 //! An instance is the paper's tuple `⟨P, S₀, Q, C, W, R, SIM, B⟩` in
 //! materialized form. Construction goes through [`InstanceBuilder`], which
-//! normalizes relevance scores, validates every invariant of Section 3.1, and
-//! materializes per-subset similarity stores from a
-//! [`SimilarityProvider`] (or accepts pre-built
-//! [`ContextSim`] stores, e.g. from an LSH pipeline).
+//! normalizes relevance scores and materializes per-subset similarity stores
+//! from a [`SimilarityProvider`] (or accepts pre-built [`ContextSim`] stores,
+//! e.g. from an LSH pipeline).
+//!
+//! Every instance — built, produced by an epoch delta ([`crate::delta`]) or
+//! loaded from a pack ([`crate::pack`]) — comes out of one crate-private
+//! constructor that checks every invariant of Section 3.1 and derives the
+//! membership reverse-index and cost totals itself; none of them is taken on
+//! trust from the source.
 //!
 //! The heavyweight parts of an instance (photos, subsets, similarities, the
 //! membership reverse-index) live behind an [`Arc`], so deriving variants —
@@ -230,27 +235,29 @@ impl Instance {
         self.sims.iter().map(|s| s.nonzero_pairs()).sum()
     }
 
-    /// Assembles an instance from already-validated parts, building the
-    /// membership reverse-index and cost totals but performing **no**
-    /// validation and **no** relevance normalization.
+    /// The one constructor: checks the model of Section 3.1
+    /// ([`check_model`]), builds the similarity stores from the checked
+    /// subsets, then derives the membership reverse-index, the `S₀` flags and
+    /// the cost totals. Relevance is installed as given — **no**
+    /// normalization — so a builder's freshly normalized scores, an epoch
+    /// delta's surviving scores (whose bits the incremental solver's
+    /// bit-identity rests on) and a pack's stored scores all keep their bits.
     ///
-    /// This is the shared tail of the builder (whose `validate` has already
-    /// normalized) and of the epoch-delta rebuild ([`crate::delta`]), which
-    /// must copy surviving relevance bit-exactly — re-normalizing a pruned
-    /// query would change `W·R` products and break the incremental
-    /// solver's bit-identity with a from-scratch solve.
+    /// `sims` sees only checked subsets, so a provider may index its photo
+    /// tables by member id.
     pub(crate) fn assemble(
         photos: Vec<Photo>,
         required: Vec<PhotoId>,
         subsets: Vec<Subset>,
         budget: u64,
-        sims: Vec<Arc<ContextSim>>,
-    ) -> Instance {
+        sims: impl FnOnce(&[Subset]) -> Result<Vec<Arc<ContextSim>>>,
+    ) -> Result<Instance> {
+        let (required_cost, total_cost) = check_model(&photos, &required, &subsets, budget)?;
+        let sims = sims(&subsets)?;
         let n = photos.len();
         // Two-pass CSR build: count per-photo degrees, prefix-sum into
-        // offsets, then scatter (restoring offsets afterwards). Subset order
-        // within a photo's slice matches the old per-photo push order
-        // because subsets are visited ascending both times.
+        // offsets, then scatter. Subsets are visited ascending both times,
+        // so each photo's slice is in subset order.
         let mut membership_offsets = vec![0u32; n + 1];
         for q in &subsets {
             for &m in &q.members {
@@ -283,9 +290,7 @@ impl Instance {
         for &r in &required {
             required_flags[r.index()] = true;
         }
-        let required_cost = required.iter().map(|&r| photos[r.index()].cost).sum();
-        let total_cost = photos.iter().map(|p| p.cost).sum();
-        Instance {
+        Ok(Instance {
             core: Arc::new(Core {
                 photos,
                 required: required_flags,
@@ -298,60 +303,113 @@ impl Instance {
             }),
             sims: Arc::new(sims),
             budget,
-        }
-    }
-
-    /// The membership reverse-index CSR arenas `(offsets, data)`, exposed to
-    /// the `phocus-pack` writer ([`crate::pack`]) for verbatim section dumps.
-    pub(crate) fn membership_csr(&self) -> (&[u32], &[Membership]) {
-        (&self.core.membership_offsets, &self.core.membership_data)
-    }
-
-    /// Reassembles an instance from arenas bulk-read out of a `phocus-pack`
-    /// file ([`crate::pack`]): unlike [`assemble`](Self::assemble), the
-    /// membership reverse-index and cost totals arrive prebuilt and are
-    /// installed verbatim — **no derivation, sorting, or validation** runs
-    /// here beyond the O(|S₀|) required-flag scatter. The pack reader has
-    /// already length- and range-checked every array against the section
-    /// table.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_pack_parts(
-        photos: Vec<Photo>,
-        required_ids: Vec<PhotoId>,
-        required_cost: u64,
-        subsets: Vec<Subset>,
-        membership_offsets: Vec<u32>,
-        membership_data: Vec<Membership>,
-        total_cost: u64,
-        budget: u64,
-        sims: Vec<Arc<ContextSim>>,
-    ) -> Instance {
-        let mut required_flags = vec![false; photos.len()];
-        for &r in &required_ids {
-            required_flags[r.index()] = true;
-        }
-        Instance {
-            core: Arc::new(Core {
-                photos,
-                required: required_flags,
-                required_ids,
-                required_cost,
-                subsets,
-                membership_offsets,
-                membership_data,
-                total_cost,
-            }),
-            sims: Arc::new(sims),
-            budget,
-        }
+        })
     }
 }
 
-/// Photos, required ids, normalized subsets and budget, post-validation.
-type ValidatedParts = (Vec<Photo>, Vec<PhotoId>, Vec<Subset>, u64);
+/// The model of Section 3.1, checked for every instance whatever its source
+/// (builder, epoch delta or pack load): at least one photo; every photo cost
+/// positive and the total cost within `u64`; `S₀` strictly ascending, in
+/// range and within the budget; every subset non-empty with in-range,
+/// distinct members, one finite positive relevance score per member and a
+/// finite positive weight. Returns `(C(S₀), C(P))`.
+///
+/// The total-cost check makes every later accumulation — `C(S₀)`, a
+/// solution's `C(S)`, the evaluator's running cost — overflow-free, since
+/// each is a sub-sum over distinct photos.
+fn check_model(
+    photos: &[Photo],
+    required: &[PhotoId],
+    subsets: &[Subset],
+    budget: u64,
+) -> Result<(u64, u64)> {
+    if photos.is_empty() {
+        return Err(ModelError::NoPhotos);
+    }
+    let n = photos.len();
+    let mut total_cost: u64 = 0;
+    for p in photos {
+        if p.cost == 0 {
+            return Err(ModelError::ZeroCostPhoto(p.id));
+        }
+        total_cost = total_cost
+            .checked_add(p.cost)
+            .ok_or(ModelError::CostOverflow)?;
+    }
+    let mut required_cost: u64 = 0;
+    for (i, &r) in required.iter().enumerate() {
+        if r.index() >= n {
+            return Err(ModelError::UnknownPhoto(r));
+        }
+        if i > 0 && required[i - 1] >= r {
+            return Err(ModelError::RequiredNotAscending(r));
+        }
+        required_cost += photos[r.index()].cost;
+    }
+    if required_cost > budget {
+        return Err(ModelError::RequiredSetOverBudget {
+            required_cost,
+            budget,
+        });
+    }
+    // `listed[p]` = the last subset that listed photo `p`: one stamp array
+    // finds duplicate members in O(n + Σ|q|).
+    let mut listed = vec![u32::MAX; n];
+    for q in subsets {
+        if q.members.is_empty() {
+            return Err(ModelError::EmptySubset(q.id));
+        }
+        if q.members.len() != q.relevance.len() {
+            return Err(ModelError::RelevanceLengthMismatch {
+                subset: q.id,
+                members: q.members.len(),
+                relevances: q.relevance.len(),
+            });
+        }
+        if !(q.weight.is_finite() && q.weight > 0.0) {
+            return Err(ModelError::InvalidWeight {
+                subset: q.id,
+                value: q.weight,
+            });
+        }
+        for &m in &q.members {
+            if m.index() >= n {
+                return Err(ModelError::UnknownPhoto(m));
+            }
+            if listed[m.index()] == q.id.0 {
+                return Err(ModelError::DuplicateMember {
+                    subset: q.id,
+                    photo: m,
+                });
+            }
+            listed[m.index()] = q.id.0;
+        }
+        if let Some(&value) = q.relevance.iter().find(|r| !(r.is_finite() && **r > 0.0)) {
+            return Err(ModelError::InvalidRelevance {
+                subset: q.id,
+                value,
+            });
+        }
+    }
+    Ok((required_cost, total_cost))
+}
 
-/// Builder for [`Instance`], performing validation and relevance
-/// normalization.
+/// Scales raw relevance scores to sum to 1 (Section 3.1). Scores that are
+/// not all finite and positive come back as given, so the model check
+/// reports the value the caller supplied.
+pub(crate) fn normalized_relevance(raw: &[f64]) -> Arc<[f64]> {
+    let mut sum = 0.0;
+    for &r in raw {
+        if !(r.is_finite() && r > 0.0) {
+            return raw.into();
+        }
+        sum += r;
+    }
+    raw.iter().map(|r| r / sum).collect()
+}
+
+/// Builder for [`Instance`]: normalizes relevance, then constructs through
+/// the same model check as every other instance source.
 #[derive(Debug, Default)]
 pub struct InstanceBuilder {
     photos: Vec<Photo>,
@@ -426,88 +484,19 @@ impl InstanceBuilder {
         self
     }
 
-    /// Validates the declared model and normalizes relevance scores,
-    /// returning the parts needed to finish construction.
-    fn validate(mut self) -> Result<ValidatedParts> {
-        if self.photos.is_empty() {
-            return Err(ModelError::NoPhotos);
-        }
-        let n = self.photos.len();
-        // Total archive cost must fit u64. Every later accumulation — the
-        // required-set cost, a solution's C(S), the evaluator's running
-        // cost — is a sub-sum over distinct photos, so this single check
-        // makes all of them overflow-free.
-        let mut total: u64 = 0;
-        for p in &self.photos {
-            if p.cost == 0 {
-                return Err(ModelError::ZeroCostPhoto(p.id));
-            }
-            total = total
-                .checked_add(p.cost)
-                .ok_or(ModelError::CostOverflow)?;
-        }
+    /// Sorts and deduplicates `S₀`, normalizes every subset's relevance,
+    /// and hands the parts to [`Instance::assemble`], which checks them and
+    /// builds the stores with `sims`.
+    fn finish(
+        mut self,
+        sims: impl FnOnce(&[Subset]) -> Result<Vec<Arc<ContextSim>>>,
+    ) -> Result<Instance> {
         self.required.sort_unstable();
         self.required.dedup();
-        for &r in &self.required {
-            if r.index() >= n {
-                return Err(ModelError::UnknownPhoto(r));
-            }
-        }
-        let required_cost: u64 = self
-            .required
-            .iter()
-            .map(|&r| self.photos[r.index()].cost)
-            .sum();
-        if required_cost > self.budget {
-            return Err(ModelError::RequiredSetOverBudget {
-                required_cost,
-                budget: self.budget,
-            });
-        }
         for q in &mut self.subsets {
-            if q.members.is_empty() {
-                return Err(ModelError::EmptySubset(q.id));
-            }
-            if q.members.len() != q.relevance.len() {
-                return Err(ModelError::RelevanceLengthMismatch {
-                    subset: q.id,
-                    members: q.members.len(),
-                    relevances: q.relevance.len(),
-                });
-            }
-            if !q.weight.is_finite() || q.weight <= 0.0 {
-                return Err(ModelError::InvalidWeight {
-                    subset: q.id,
-                    value: q.weight,
-                });
-            }
-            let mut seen = vec![false; n];
-            for &m in &q.members {
-                if m.index() >= n {
-                    return Err(ModelError::UnknownPhoto(m));
-                }
-                if seen[m.index()] {
-                    return Err(ModelError::DuplicateMember {
-                        subset: q.id,
-                        photo: m,
-                    });
-                }
-                seen[m.index()] = true;
-            }
-            let mut sum = 0.0;
-            for &r in q.relevance.iter() {
-                if !r.is_finite() || r <= 0.0 {
-                    return Err(ModelError::InvalidRelevance {
-                        subset: q.id,
-                        value: r,
-                    });
-                }
-                sum += r;
-            }
-            // Normalize so Σ_{p∈q} R(q,p) = 1 (Section 3.1).
-            q.relevance = q.relevance.iter().map(|r| r / sum).collect();
+            q.relevance = normalized_relevance(&q.relevance);
         }
-        Ok((self.photos, self.required, self.subsets, self.budget))
+        Instance::assemble(self.photos, self.required, self.subsets, self.budget, sims)
     }
 
     /// Finishes construction, materializing dense all-pairs similarity stores
@@ -517,27 +506,29 @@ impl InstanceBuilder {
         self,
         provider: &P,
     ) -> Result<Instance> {
-        let (photos, required, subsets, budget) = self.validate()?;
-        let mut sims = Vec::with_capacity(subsets.len());
-        for q in &subsets {
-            sims.push(Arc::new(ContextSim::Dense(DenseSim::from_provider(
-                q, provider,
-            )?)));
-        }
-        Ok(Instance::assemble(photos, required, subsets, budget, sims))
+        self.finish(|subsets| {
+            subsets
+                .iter()
+                .map(|q| {
+                    Ok(Arc::new(ContextSim::Dense(DenseSim::from_provider(
+                        q, provider,
+                    )?)))
+                })
+                .collect()
+        })
     }
 
     /// Finishes construction with pre-built similarity stores (e.g. sparse
     /// stores produced by an LSH pipeline). Stores must be parallel to the
     /// subsets, in declaration order, and sized to each member list.
     pub fn build_with_sims(self, sims: Vec<ContextSim>) -> Result<Instance> {
-        let (photos, required, subsets, budget) = self.validate()?;
-        assert_eq!(sims.len(), subsets.len(), "one store per subset required");
-        for (q, s) in subsets.iter().zip(&sims) {
-            assert_eq!(q.members.len(), s.len(), "similarity store size mismatch");
-        }
-        let sims = sims.into_iter().map(Arc::new).collect();
-        Ok(Instance::assemble(photos, required, subsets, budget, sims))
+        self.finish(|subsets| {
+            assert_eq!(sims.len(), subsets.len(), "one store per subset required");
+            for (q, s) in subsets.iter().zip(&sims) {
+                assert_eq!(q.members.len(), s.len(), "similarity store size mismatch");
+            }
+            Ok(sims.into_iter().map(Arc::new).collect())
+        })
     }
 }
 

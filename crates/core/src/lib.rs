@@ -86,7 +86,7 @@ pub use error::{ModelError, Result};
 pub use ids::{PhotoId, SubsetId};
 pub use instance::{Instance, InstanceBuilder, Membership};
 pub use objective::{exact_score, exact_subset_score, EvalArena, EvalStats, Evaluator};
-pub use pack::{fnv1a64, pack_instance, unpack_instance, PackError, PackedInstance};
+pub use pack::{fnv1a64, pack_instance, table_digest, unpack_instance, PackError, PackedInstance};
 pub use photo::Photo;
 pub use sim::{ContextSim, DenseSim, FnSimilarity, SimilarityProvider, SparseSim, UnitSimilarity};
 pub use solution::{CoverageStats, Solution};

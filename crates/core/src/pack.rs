@@ -1,38 +1,39 @@
-//! `phocus-pack` v2: a versioned, checksummed binary instance format.
+//! `phocus-pack` v3: a versioned, checksummed binary instance format.
 //!
-//! Every `phocus` entry point used to cold-start through text parse →
-//! builder → validate → arena derivation. The PR 2 refactor made every hot
-//! structure a flat SoA/CSR arena, so this module serializes **exactly
-//! those arenas** — photo/subset tables, the membership reverse-index CSR,
-//! per-subset [`DenseSim`]/[`SparseSim`] stores, and the component shard
-//! labels — into a section file with *validate-once-at-write* semantics:
+//! A pack stores what an instance load cannot derive cheaply — the
+//! photo/subset tables, per-subset [`DenseSim`]/[`SparseSim`] stores, and the
+//! component shard labels — and nothing that it can:
 //!
-//! * [`pack_instance`] takes an already-validated [`Instance`] (the builder
-//!   or the representation pipeline has normalized and checked everything),
-//!   derives the shard labels once, and writes every arena verbatim.
+//! * [`pack_instance`] takes an [`Instance`], derives the shard labels once,
+//!   and writes every stored arena verbatim.
 //! * [`unpack_instance`] parses a fixed-size header and an O(1) section
-//!   table, verifies one FNV-1a checksum per section, and reconstructs the
-//!   [`Instance`] and its [`ShardLabels`] by length-checked bulk copies.
-//!   **No re-derivation, re-sorting, re-normalization, or model
-//!   re-validation** happens on the load path — the only per-element
-//!   work is integrity checking of the container itself (monotone offsets,
-//!   in-range indices, UTF-8 names), which keeps a corrupted file a typed
-//!   [`PackError`] instead of a later panic.
+//!   table, verifies one FNV-1a checksum per section, bulk-copies the
+//!   arenas, and builds the [`Instance`] through the same model check as the
+//!   builder and the epoch-delta layer. The membership reverse-index and the
+//!   `S₀`/archive cost totals are derived there, not stored; relevance keeps
+//!   its stored bits (nothing renormalizes). The stored [`ShardLabels`] are
+//!   then checked sound for the instance: no interaction edge crosses two
+//!   shards and no singleton-pool photo has one. A corrupted or crafted
+//!   file is a typed [`PackError`], never a later panic or a wrong answer.
 //!
 //! # File layout (all integers little-endian)
 //!
 //! ```text
-//! header    magic "PHOCPAK1" (8 bytes) · version u32 (= 2) · section_count u32
+//! header    magic "PHOCPAK1" (8 bytes) · version u32 (= 3) · section_count u32
 //! table     section_count × { kind u32 · reserved u32 · offset u64 · len u64 · fnv1a64 u64 }
 //! payloads  concatenated section bytes, ascending offsets, no gaps/overlap
 //! ```
 //!
-//! The eight mandatory sections are listed in [`kind`]; the full field-level
+//! The seven mandatory sections are listed in [`kind`]; the full field-level
 //! spec lives in `DESIGN.md` §15. Section lengths are validated against the
 //! file size *before* any allocation, and every element count inside a
 //! section is validated against the section's remaining bytes before its
 //! vector is allocated — byte-soup inputs cannot OOM the reader (the
 //! `no_panic.rs` fuzz gate pins this).
+//!
+//! The header and table carry every section's checksum, so their own FNV-1a
+//! ([`table_digest`]) identifies the whole image: the tenant catalog binds
+//! each pack by it, and every payload byte is hashed once per load.
 //!
 //! Determinism: packing the same instance twice yields byte-identical
 //! files. Every array is written in storage order and the writer performs no
@@ -40,9 +41,9 @@
 //! instance — `ci.sh` packs a corpus twice and `cmp`s the files.
 
 use crate::ids::{PhotoId, SubsetId};
-use crate::instance::{Instance, Membership};
+use crate::instance::Instance;
 use crate::sim::{ContextSim, DenseSim, SparseSim};
-use crate::{shard_labels, Photo, ShardLabels, Subset};
+use crate::{shard_labels, ModelError, Photo, ShardLabels, Subset};
 use std::fmt;
 use std::sync::Arc;
 
@@ -50,19 +51,19 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 8] = *b"PHOCPAK1";
 /// Format version this module reads and writes; an image of any other
 /// version is a [`PackError::VersionSkew`].
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 /// Size of one section-table entry in bytes.
 const TABLE_ENTRY: usize = 32;
 /// Size of the fixed header in bytes.
 const HEADER: usize = 16;
-/// Hard cap on the declared section count — v2 defines 8 sections; a table
+/// Hard cap on the declared section count — v3 defines 7 sections; a table
 /// claiming more than this is corrupt, and rejecting it here bounds the
 /// table allocation before it happens.
 const MAX_SECTIONS: u32 = 64;
 
 /// Section kind identifiers (the `kind` field of a table entry).
 pub mod kind {
-    /// Scalar counts and totals; bounds every other section.
+    /// Scalar counts and the budget; bounds every other section.
     pub const META: u32 = 1;
     /// Photo costs + name string table.
     pub const PHOTOS: u32 = 2;
@@ -72,9 +73,8 @@ pub mod kind {
     pub const SUBSETS: u32 = 4;
     /// Subset member CSR + raw normalized relevance bits.
     pub const MEMBERS: u32 = 5;
-    /// Photo → (subset, local) reverse-index CSR.
-    pub const MEMBERSHIP: u32 = 6;
     /// Per-subset similarity stores (unit / dense triangle / sparse CSR).
+    /// (Kind 6 is unassigned: v2's membership reverse-index.)
     pub const SIMS: u32 = 7;
     /// Component shard labels. (Kind 8 is unassigned: v1's evaluator
     /// weights.)
@@ -83,13 +83,12 @@ pub mod kind {
 
 /// All mandatory sections, in the order the writer emits them. A table
 /// entry of any other kind is malformed.
-const ALL_KINDS: [u32; 8] = [
+const ALL_KINDS: [u32; 7] = [
     kind::META,
     kind::PHOTOS,
     kind::REQUIRED,
     kind::SUBSETS,
     kind::MEMBERS,
-    kind::MEMBERSHIP,
     kind::SIMS,
     kind::LABELS,
 ];
@@ -109,7 +108,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// reader never panics and never allocates proportionally to untrusted
 /// counts (the fuzz gate in `no_panic.rs` corrupts packs every way listed
 /// here and asserts exactly this).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PackError {
     /// The buffer ends before the header or a table entry it promises.
     Truncated {
@@ -169,6 +168,10 @@ pub enum PackError {
         /// What was inconsistent.
         what: &'static str,
     },
+    /// The sections decode, but the instance they describe violates the
+    /// model (a zero-cost photo, `S₀` over budget, a duplicate member, a
+    /// non-finite weight, …) — the same check every instance passes.
+    Model(ModelError),
     /// The instance cannot be represented in the pack format: a count or a
     /// string-table byte total exceeds the format's u32 fields. Returned by
     /// the writer only, before any bytes are produced.
@@ -208,6 +211,7 @@ impl fmt::Display for PackError {
             PackError::Malformed { kind, what } => {
                 write!(f, "section kind {kind} is malformed: {what}")
             }
+            PackError::Model(e) => write!(f, "pack describes an invalid instance: {e}"),
             PackError::Unrepresentable { what } => {
                 write!(f, "instance not representable in pack v{VERSION}: {what}")
             }
@@ -221,10 +225,10 @@ impl std::error::Error for PackError {}
 /// labels the solvers would otherwise recompute on every cold start.
 #[derive(Debug, Clone)]
 pub struct PackedInstance {
-    /// The instance, arenas installed verbatim.
+    /// The instance, model-checked, with its derived parts rebuilt.
     pub instance: Instance,
-    /// Component shard labels, equal to `shard_labels(&instance)` by
-    /// construction at write time.
+    /// Component shard labels, written as `shard_labels(&instance)` and
+    /// checked sound for the instance at load.
     pub labels: ShardLabels,
 }
 
@@ -319,14 +323,12 @@ pub fn pack_instance(inst: &Instance) -> Result<Vec<u8>, PackError> {
 
     // META
     {
-        let mut w = W { buf: Vec::with_capacity(72) };
+        let mut w = W { buf: Vec::with_capacity(56) };
         w.u64(inst.budget());
         w.u64(n as u64);
         w.u64(m as u64);
         w.u64(member_total as u64);
         w.u64(inst.required().len() as u64);
-        w.u64(inst.required_cost());
-        w.u64(inst.total_cost());
         w.u64(labels.num_shards() as u64);
         w.u64(labels.singleton_pool().map_or(u64::MAX, |p| p as u64));
         sections.push((kind::META, w.buf));
@@ -383,18 +385,6 @@ pub fn pack_instance(inst: &Instance) -> Result<Vec<u8>, PackError> {
         sections.push((kind::MEMBERS, w.buf));
     }
 
-    // MEMBERSHIP: the photo → (subset, local) reverse-index CSR, verbatim.
-    {
-        let (offsets, data) = inst.membership_csr();
-        let mut w = W { buf: Vec::new() };
-        w.u32s(offsets);
-        for e in data {
-            w.u32(e.subset.0);
-            w.u32(e.local);
-        }
-        sections.push((kind::MEMBERSHIP, w.buf));
-    }
-
     // SIMS: one tagged record per subset.
     {
         let mut w = W { buf: Vec::new() };
@@ -436,7 +426,7 @@ pub fn pack_instance(inst: &Instance) -> Result<Vec<u8>, PackError> {
     let mut out = W { buf: Vec::with_capacity(total) };
     out.buf.extend_from_slice(&MAGIC);
     out.u32(VERSION);
-    out.u32(sections.len() as u32); // phocus-lint: allow(cast-bounds) — exactly ALL_KINDS.len() == 8 sections
+    out.u32(sections.len() as u32); // phocus-lint: allow(cast-bounds) — exactly ALL_KINDS.len() == 7 sections
     let mut offset = (HEADER + table_len) as u64;
     for (k, payload) in &sections {
         out.u32(*k);
@@ -617,16 +607,13 @@ struct Meta {
     num_subsets: usize,
     member_total: usize,
     num_required: usize,
-    required_cost: u64,
-    total_cost: u64,
     num_shards: usize,
     singleton_pool: Option<usize>,
 }
 
-/// Deserializes a `phocus-pack` byte image produced by [`pack_instance`],
-/// returning the reconstructed instance plus its persisted shard labels.
-pub fn unpack_instance(bytes: &[u8]) -> Result<PackedInstance, PackError> {
-    // --- header ---
+/// Checks the fixed header — magic, version, a plausible section count —
+/// and returns the byte length of the header plus the section table.
+fn table_end(bytes: &[u8]) -> Result<usize, PackError> {
     if bytes.len() < HEADER {
         return Err(PackError::Truncated { need: HEADER, have: bytes.len() });
     }
@@ -645,11 +632,29 @@ pub fn unpack_instance(bytes: &[u8]) -> Result<PackedInstance, PackError> {
     if bytes.len() < table_end {
         return Err(PackError::Truncated { need: table_end, have: bytes.len() });
     }
+    Ok(table_end)
+}
+
+/// FNV-1a over the image's header and section table. The table holds every
+/// section's offset, length and checksum, and [`unpack_instance`] accepts an
+/// image only if its sections tile the rest of the file and match those
+/// checksums — so this digest of the first `16 + 32·sections` bytes
+/// identifies the whole image without hashing any payload twice.
+pub fn table_digest(bytes: &[u8]) -> Result<u64, PackError> {
+    Ok(fnv1a64(&bytes[..table_end(bytes)?]))
+}
+
+/// Deserializes a `phocus-pack` byte image produced by [`pack_instance`],
+/// returning the model-checked instance plus its persisted shard labels,
+/// checked sound for it.
+pub fn unpack_instance(bytes: &[u8]) -> Result<PackedInstance, PackError> {
+    let table_end = table_end(bytes)?;
+    let count = (table_end - HEADER) / TABLE_ENTRY;
 
     // --- section table: O(1) per-kind lookup, bounds, overlap, checksums ---
     let mut by_kind: [Option<&[u8]>; 16] = [None; 16];
     let mut prev_end = table_end as u64;
-    for i in 0..count as usize {
+    for i in 0..count {
         let e = &bytes[HEADER + i * TABLE_ENTRY..HEADER + (i + 1) * TABLE_ENTRY];
         let k = u32::from_le_bytes([e[0], e[1], e[2], e[3]]);
         if !ALL_KINDS.contains(&k) {
@@ -704,8 +709,6 @@ pub fn unpack_instance(bytes: &[u8]) -> Result<PackedInstance, PackError> {
         let num_subsets = r.u64()?;
         let member_total = r.u64()?;
         let num_required = r.u64()?;
-        let required_cost = r.u64()?;
-        let total_cost = r.u64()?;
         let num_shards = r.u64()?;
         let singleton_pool = r.u64()?;
         r.finish()?;
@@ -723,8 +726,6 @@ pub fn unpack_instance(bytes: &[u8]) -> Result<PackedInstance, PackError> {
             num_subsets: num_subsets as usize,
             member_total: member_total as usize,
             num_required: num_required as usize,
-            required_cost,
-            total_cost,
             num_shards: num_shards as usize,
             singleton_pool: (singleton_pool != u64::MAX).then_some(singleton_pool as usize),
         }
@@ -751,12 +752,6 @@ pub fn unpack_instance(bytes: &[u8]) -> Result<PackedInstance, PackError> {
         let mut r = R::new(kind::REQUIRED, section(kind::REQUIRED)?);
         let ids = r.vec_u32(meta.num_required)?;
         r.finish()?;
-        if ids.iter().any(|&p| p as usize >= n) {
-            return Err(PackError::Malformed {
-                kind: kind::REQUIRED,
-                what: "required photo id out of range",
-            });
-        }
         ids.into_iter().map(PhotoId).collect::<Vec<_>>()
     };
 
@@ -774,12 +769,6 @@ pub fn unpack_instance(bytes: &[u8]) -> Result<PackedInstance, PackError> {
         let members = r.vec_u32(meta.member_total)?;
         let relevance = r.vec_f64(meta.member_total)?;
         r.finish()?;
-        if members.iter().any(|&p| p as usize >= n) {
-            return Err(PackError::Malformed {
-                kind: kind::MEMBERS,
-                what: "member photo id out of range",
-            });
-        }
         let mut subsets = Vec::with_capacity(m);
         for (s, (weight, label)) in weights.into_iter().zip(labels_tab).enumerate() {
             let lo = offsets[s] as usize;
@@ -793,30 +782,6 @@ pub fn unpack_instance(bytes: &[u8]) -> Result<PackedInstance, PackError> {
             });
         }
         subsets
-    };
-
-    // --- MEMBERSHIP ---
-    let (membership_offsets, membership_data) = {
-        let mut r = R::new(kind::MEMBERSHIP, section(kind::MEMBERSHIP)?);
-        let offsets = read_csr_offsets(&mut r, n, meta.member_total)?;
-        let pairs = r.vec_u32(meta.member_total * 2)?;
-        r.finish()?;
-        let mut data = Vec::with_capacity(meta.member_total);
-        for c in pairs.chunks_exact(2) {
-            let (s, local) = (c[0], c[1]);
-            let q = subsets.get(s as usize).ok_or(PackError::Malformed {
-                kind: kind::MEMBERSHIP,
-                what: "membership subset id out of range",
-            })?;
-            if local as usize >= q.members.len() {
-                return Err(PackError::Malformed {
-                    kind: kind::MEMBERSHIP,
-                    what: "membership local index out of range",
-                });
-            }
-            data.push(Membership { subset: SubsetId(s), local });
-        }
-        (offsets, data)
     };
 
     // --- SIMS ---
@@ -892,17 +857,11 @@ pub fn unpack_instance(bytes: &[u8]) -> Result<PackedInstance, PackError> {
         ShardLabels::from_parts(photo_shard, meta.num_shards, meta.singleton_pool)
     };
 
-    let instance = Instance::from_pack_parts(
-        photos,
-        required_ids,
-        meta.required_cost,
-        subsets,
-        membership_offsets,
-        membership_data,
-        meta.total_cost,
-        meta.budget,
-        sims,
-    );
+    let instance = Instance::assemble(photos, required_ids, subsets, meta.budget, |_| Ok(sims))
+        .map_err(PackError::Model)?;
+    labels
+        .check_sound(&instance)
+        .map_err(|what| PackError::Malformed { kind: kind::LABELS, what })?;
     Ok(PackedInstance { instance, labels })
 }
 
@@ -937,8 +896,9 @@ mod tests {
             for (a, b) in got.sims().iter().zip(inst.sims()) {
                 assert_eq!(**a, **b);
             }
-            assert_eq!(got.membership_csr().0, inst.membership_csr().0);
-            assert_eq!(got.membership_csr().1, inst.membership_csr().1);
+            for p in (0..inst.num_photos() as u32).map(PhotoId) {
+                assert_eq!(got.memberships(p), inst.memberships(p));
+            }
             assert_eq!(packed.labels, shard_labels(&inst));
         }
     }
@@ -1017,6 +977,199 @@ mod tests {
             unpack_instance(&v1).unwrap_err(),
             PackError::VersionSkew { found: 1 }
         );
+    }
+
+    #[test]
+    fn v2_images_are_version_skew() {
+        // v2 stored the membership index and the cost totals.
+        let mut v2 = pack_instance(&figure1_instance(4 * MB)).expect("packable");
+        v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+        assert_eq!(
+            unpack_instance(&v2).unwrap_err(),
+            PackError::VersionSkew { found: 2 }
+        );
+        assert_eq!(
+            table_digest(&v2).unwrap_err(),
+            PackError::VersionSkew { found: 2 }
+        );
+    }
+
+    #[test]
+    fn table_digest_covers_header_and_table_only() {
+        let good = pack_instance(&figure1_instance(4 * MB)).expect("packable");
+        let table = HEADER + ALL_KINDS.len() * TABLE_ENTRY;
+        assert_eq!(table_digest(&good), Ok(fnv1a64(&good[..table])));
+        // A payload edit leaves the digest alone but fails its section
+        // checksum on load, so digest + load together bind every byte.
+        let mut stale = good.clone();
+        let last = stale.len() - 1;
+        stale[last] ^= 1;
+        assert_eq!(table_digest(&stale), table_digest(&good));
+        assert_eq!(
+            unpack_instance(&stale).unwrap_err(),
+            PackError::Checksum { kind: kind::LABELS }
+        );
+        assert!(table_digest(&good[..table - 1]).is_err());
+    }
+
+    /// Four photos: `S₀ = {p0, p2}` (2002 bytes), a stored pair p0–p1 in
+    /// `pair`, and p2, p3 alone in unit contexts — so the labels are
+    /// `[0, 0, 1, 1]` with shard 1 the singleton pool.
+    fn crafted_base() -> Instance {
+        let mut b = crate::InstanceBuilder::new(5_000);
+        let p: Vec<PhotoId> = (0..4u64)
+            .map(|i| b.add_photo(format!("p{i}"), 1_000 + i))
+            .collect();
+        b.require(p[0]);
+        b.require(p[2]);
+        b.add_subset("pair", 2.0, vec![p[0], p[1]], vec![]);
+        b.add_subset("a", 1.0, vec![p[2]], vec![]);
+        b.add_subset("b", 1.0, vec![p[3]], vec![]);
+        let pair = SparseSim::from_pairs(SubsetId(0), 2, [(0, 1, 0.8)]).expect("valid pair");
+        b.build_with_sims(vec![
+            ContextSim::Sparse(pair),
+            ContextSim::Unit(1),
+            ContextSim::Unit(1),
+        ])
+        .expect("valid fixture")
+    }
+
+    /// Rewrites section `k`'s payload with `edit` and re-checksums it: a
+    /// file that passes every integrity check but says something else.
+    fn recrafted(good: &[u8], k: u32, edit: impl FnOnce(&mut [u8])) -> Vec<u8> {
+        let mut out = good.to_vec();
+        let e = (0..ALL_KINDS.len())
+            .map(|i| HEADER + i * TABLE_ENTRY)
+            .find(|&e| out[e..e + 4] == k.to_le_bytes())
+            .expect("section present");
+        let offset = u64::from_le_bytes(out[e + 8..e + 16].try_into().unwrap()) as usize;
+        let len = u64::from_le_bytes(out[e + 16..e + 24].try_into().unwrap()) as usize;
+        edit(&mut out[offset..offset + len]);
+        let sum = fnv1a64(&out[offset..offset + len]);
+        out[e + 24..e + 32].copy_from_slice(&sum.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn crafted_base_loads_with_its_labels() {
+        let inst = crafted_base();
+        let labels = shard_labels(&inst);
+        assert_eq!(labels.photo_shards(), [0, 0, 1, 1]);
+        assert_eq!(labels.singleton_pool(), Some(1));
+        let loaded = unpack_instance(&pack_instance(&inst).expect("packable")).expect("loads");
+        assert_eq!(loaded.labels, labels);
+        assert_eq!(loaded.instance.required_cost(), 2002);
+        assert_eq!(loaded.instance.total_cost(), 4006);
+    }
+
+    #[test]
+    fn crafted_zero_cost_photo_is_a_model_error() {
+        let good = pack_instance(&crafted_base()).expect("packable");
+        let bad = recrafted(&good, kind::PHOTOS, |b| b[..8].fill(0));
+        assert_eq!(
+            unpack_instance(&bad).unwrap_err(),
+            PackError::Model(ModelError::ZeroCostPhoto(PhotoId(0)))
+        );
+    }
+
+    #[test]
+    fn crafted_budget_below_required_set_is_a_model_error() {
+        let good = pack_instance(&crafted_base()).expect("packable");
+        let bad = recrafted(&good, kind::META, |b| {
+            b[..8].copy_from_slice(&2001u64.to_le_bytes())
+        });
+        assert_eq!(
+            unpack_instance(&bad).unwrap_err(),
+            PackError::Model(ModelError::RequiredSetOverBudget {
+                required_cost: 2002,
+                budget: 2001
+            })
+        );
+    }
+
+    #[test]
+    fn crafted_duplicate_member_is_a_model_error() {
+        let good = pack_instance(&crafted_base()).expect("packable");
+        // MEMBERS: 4 CSR offsets, then `pair`'s members p0, p1; make the
+        // second one p0 again.
+        let bad = recrafted(&good, kind::MEMBERS, |b| {
+            b[20..24].copy_from_slice(&0u32.to_le_bytes())
+        });
+        assert_eq!(
+            unpack_instance(&bad).unwrap_err(),
+            PackError::Model(ModelError::DuplicateMember {
+                subset: SubsetId(0),
+                photo: PhotoId(0)
+            })
+        );
+    }
+
+    #[test]
+    fn crafted_non_finite_weight_is_a_model_error() {
+        let good = pack_instance(&crafted_base()).expect("packable");
+        for bits in [f64::NAN.to_bits(), f64::INFINITY.to_bits(), 0u64] {
+            let bad = recrafted(&good, kind::SUBSETS, |b| {
+                b[..8].copy_from_slice(&bits.to_le_bytes())
+            });
+            assert!(
+                matches!(
+                    unpack_instance(&bad).unwrap_err(),
+                    PackError::Model(ModelError::InvalidWeight {
+                        subset: SubsetId(0),
+                        ..
+                    })
+                ),
+                "weight bits {bits:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn crafted_unsorted_required_set_is_a_model_error() {
+        let good = pack_instance(&crafted_base()).expect("packable");
+        // REQUIRED holds p0, p2; store them as p2, p0.
+        let bad = recrafted(&good, kind::REQUIRED, |b| {
+            let (first, second) = b.split_at_mut(4);
+            first.swap_with_slice(second);
+        });
+        assert_eq!(
+            unpack_instance(&bad).unwrap_err(),
+            PackError::Model(ModelError::RequiredNotAscending(PhotoId(0)))
+        );
+    }
+
+    #[test]
+    fn crafted_labels_splitting_a_component_are_malformed() {
+        let good = pack_instance(&crafted_base()).expect("packable");
+        // p1 moved off p0's shard: the stored pair p0–p1 crosses shards.
+        let split = recrafted(&good, kind::LABELS, |b| {
+            b[4..8].copy_from_slice(&1u32.to_le_bytes())
+        });
+        assert_eq!(
+            unpack_instance(&split).unwrap_err(),
+            PackError::Malformed {
+                kind: kind::LABELS,
+                what: "an interaction edge crosses two shards"
+            }
+        );
+        // Both moved into the pool: one shard, but the pool holds an edge.
+        let pooled = recrafted(&good, kind::LABELS, |b| {
+            b[..8].copy_from_slice(&[1, 0, 0, 0, 1, 0, 0, 0]);
+        });
+        assert_eq!(
+            unpack_instance(&pooled).unwrap_err(),
+            PackError::Malformed {
+                kind: kind::LABELS,
+                what: "a singleton-pool photo has an interaction edge"
+            }
+        );
+        // Soundness, not the canonical numbering, is what a load checks: an
+        // edge-free photo may sit in any shard.
+        let moved = recrafted(&good, kind::LABELS, |b| {
+            b[12..16].copy_from_slice(&0u32.to_le_bytes())
+        });
+        let loaded = unpack_instance(&moved).expect("sound");
+        assert_eq!(loaded.labels.photo_shards(), [0, 0, 1, 0]);
     }
 
     #[test]

@@ -25,8 +25,10 @@
 //! the dozen that matter). `usize`/`isize` are 64-bit as sources and
 //! 32-bit as targets (portability-conservative in both directions).
 //! Float→int casts are always narrowing; int→float precision loss is out
-//! of scope. Library `src/` files only; `#[cfg(test)]` regions and
-//! module-level consts are exempt (compile-time checkable).
+//! of scope. Library crates' `src/` files only, binaries under `src/bin/`
+//! included (a CLI narrowing a parsed count is as much a bug as the pack
+//! reader doing it); `#[cfg(test)]` regions and module-level consts are
+//! exempt (compile-time checkable).
 
 use crate::context::{CrateCategory, FileContext, FileKind};
 use crate::diag::Diagnostic;
@@ -234,7 +236,9 @@ fn has_evidence(code: &[Tok], item: &FnItem, base: Option<&str>) -> bool {
 
 /// Runs the rule over one file.
 pub fn check(ctx: &FileContext<'_>, scopes: &FileScopes, out: &mut Vec<Diagnostic>) {
-    if ctx.spec.category != CrateCategory::Library || ctx.spec.kind != FileKind::Lib {
+    if ctx.spec.category != CrateCategory::Library
+        || !matches!(ctx.spec.kind, FileKind::Lib | FileKind::Bin)
+    {
         return;
     }
     for item in &scopes.fns {

@@ -140,6 +140,28 @@ fn cast_bounds_accepts_guarded_and_checked_conversions() {
     assert!(hits.is_empty(), "{hits:#?}");
 }
 
+/// Lints a fixture as a binary under a library crate's `src/bin/`.
+fn lint_bin(src: &str) -> Vec<par_lint::Diagnostic> {
+    lint_source(
+        FileSpec {
+            path: "crates/fixture/src/bin/cli.rs",
+            crate_name: "par-fixture",
+            category: CrateCategory::Library,
+            kind: FileKind::Bin,
+        },
+        src,
+    )
+}
+
+#[test]
+fn cast_bounds_covers_library_binaries() {
+    let hits = lint_bin(include_str!("../fixtures/cast_bounds_bin_violation.rs"));
+    assert_eq!(rules(&hits), ["cast-bounds", "cast-bounds"], "{hits:#?}");
+    assert_eq!((hits[0].line, hits[1].line), (6, 10), "{hits:#?}");
+    let clean = lint_bin(include_str!("../fixtures/cast_bounds_bin_clean.rs"));
+    assert!(clean.is_empty(), "{clean:#?}");
+}
+
 #[test]
 fn reduce_order_fires_directly_and_transitively_and_suppresses() {
     let hits = lint(include_str!("../fixtures/reduce_order_violation.rs"));

@@ -281,6 +281,19 @@ impl<'a> Args<'a> {
         Ok((mb * 1e6) as u64)
     }
 
+    /// `--tau`: the sparsification threshold τ (default 0.6), a similarity
+    /// and so in `[0, 1]`; anything else, NaN included, is a usage error
+    /// rather than a data error blamed on the first similarity it rejects.
+    fn tau(&self) -> Result<f64, CliError> {
+        let tau: f64 = self.parse("--tau", 0.6)?;
+        if !(0.0..=1.0).contains(&tau) {
+            return Err(CliError::usage(format!(
+                "--tau must be in [0, 1], got {tau}"
+            )));
+        }
+        Ok(tau)
+    }
+
     /// `--budget-frac`: the share of each tenant's own archive it may keep
     /// (default 0.25); anything outside `[0, 1]`, NaN included, is a usage
     /// error.
@@ -326,7 +339,7 @@ fn write_bytes(path: &str, bytes: &[u8]) -> Result<(), PhocusError> {
 /// The shared `--tau` / `--seed` / `--ns` representation flags, with the
 /// same defaults everywhere (τ = 0.6, seed = 42, LSH recall target 0.95).
 fn repr_from_flags(args: &Args<'_>) -> Result<RepresentationConfig, CliError> {
-    let tau: f64 = args.parse("--tau", 0.6)?;
+    let tau = args.tau()?;
     let seed: u64 = args.parse("--seed", 42)?;
     Ok(if args.flag("--ns") {
         RepresentationConfig::phocus_ns()
@@ -813,8 +826,9 @@ fn serve_fleet(
 }
 
 /// `pack`: represent one dataset and persist it as a `phocus-pack` image.
-/// `pack --check` loads an existing image — full checksum, bounds, and
-/// cross-section validation — and prints its shape without solving.
+/// `pack --check` loads an existing image — section checksums, bounds, the
+/// model check and the label soundness check — and prints its shape without
+/// solving.
 fn cmd_pack(rest: &[String]) -> Result<(), CliError> {
     if rest.iter().any(|a| a == "--check") {
         let path = Args::new("pack", rest, &["--check"], &[])?.required("--check")?;
@@ -1084,7 +1098,7 @@ fn cmd_suite(rest: &[String]) -> Result<(), CliError> {
     )?;
     let dataset = args.required("--dataset")?;
     let budget = args.budget_mb(10.0)?;
-    let tau: f64 = args.parse("--tau", 0.6)?;
+    let tau = args.tau()?;
     let seed: u64 = args.parse("--seed", 42)?;
     let universe = load_dataset(&dataset, seed, args.flag("--paper-scale"))?;
     let cfg = SuiteConfig {

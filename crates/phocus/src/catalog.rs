@@ -3,7 +3,7 @@
 //!
 //! Haystack's core lesson is that *metadata lookups*, not data reads, kill
 //! photo-store throughput — so the catalog keeps its entire index (tenant
-//! name → pack path, content checksum, photo count, budget) resident in memory
+//! name → pack path, pack digest, photo count, budget) resident in memory
 //! after one read of `catalog.idx`. Serving a tenant then costs exactly one
 //! file read plus a checksummed [`par_core::unpack_instance`] bulk load; no
 //! directory walks, no text parsing, no representation pipeline.
@@ -22,27 +22,30 @@
 //! # Index format (`catalog.idx`)
 //!
 //! ```text
-//! # phocus-catalog v2
-//! tenant\t<name>\t<pack file>\t<fnv1a64 hex>\t<photos>\t<budget>
+//! # phocus-catalog v3
+//! tenant\t<name>\t<pack file>\t<table digest hex>\t<photos>\t<budget>
 //! ```
 //!
 //! One line of exactly six fields per tenant, sorted by tenant name
 //! (strictly ascending — the builder rejects duplicates), so lookups are a
 //! binary search over the resident entries and the index bytes are a
-//! deterministic function of its contents. Checksums are [`par_core::fnv1a64`] over the whole referenced
-//! file; [`Catalog::load`] re-hashes the pack bytes before handing them to
-//! the pack reader, so a stale or corrupted pack is a typed
+//! deterministic function of its contents. The digest is
+//! [`par_core::table_digest`]: FNV-1a over the pack's header and section
+//! table, which carries every section's checksum. [`Catalog::load`] checks
+//! it, then the pack reader checks each section against its table entry, so
+//! every pack byte is hashed once and a stale or corrupted pack is a typed
 //! [`PhocusError::Catalog`] / [`PhocusError::Pack`](crate::PhocusError),
-//! never a wrong answer.
+//! never a wrong answer. A v2 index (whole-file checksums) is a
+//! [`PhocusError::Catalog`].
 
 use crate::error::{PhocusError, Result};
-use par_core::{fnv1a64, unpack_instance, PackedInstance};
+use par_core::{table_digest, unpack_instance, PackedInstance};
 use std::path::{Path, PathBuf};
 
 /// File name of the catalog index inside the catalog directory.
 pub const INDEX_FILE: &str = "catalog.idx";
-/// First line of a v2 index.
-const HEADER: &str = "# phocus-catalog v2";
+/// First line of a v3 index.
+const HEADER: &str = "# phocus-catalog v3";
 
 /// One tenant's resident metadata: where its pack lives and what bytes it
 /// must hash to.
@@ -52,7 +55,7 @@ pub struct CatalogEntry {
     pub name: String,
     /// Pack file name, relative to the catalog root.
     pub pack: String,
-    /// [`fnv1a64`] of the pack file's bytes.
+    /// [`table_digest`] of the pack file.
     pub checksum: u64,
     /// Photo count, resident so schedulers (LPT) never open the pack.
     pub photos: u64,
@@ -170,13 +173,14 @@ impl Catalog {
             .map(|i| &self.entries[i])
     }
 
-    /// Loads one tenant's instance from its pack: one file read, one
-    /// whole-file checksum, one section-table bulk load. Returns the
-    /// reconstructed instance with its persisted shard labels.
+    /// Loads one tenant's instance from its pack: one file read, the
+    /// header-and-table digest against the index, then the checksummed
+    /// section-table bulk load. Returns the reconstructed instance with its
+    /// persisted shard labels.
     pub fn load(&self, entry: &CatalogEntry) -> Result<PackedInstance> {
         let path = self.root.join(&entry.pack);
         let bytes = std::fs::read(&path).map_err(|e| io_err(&path, &e))?;
-        if fnv1a64(&bytes) != entry.checksum {
+        if table_digest(&bytes).ok() != Some(entry.checksum) {
             return Err(PhocusError::Catalog {
                 entry: entry.name.clone(),
                 message: format!("pack {} does not match its indexed checksum", entry.pack),
@@ -218,13 +222,14 @@ impl CatalogBuilder {
     /// [`par_core::pack_instance`]) as the next pack file and records its
     /// entry. `photos` and `budget` become resident metadata.
     pub fn add_pack(&mut self, name: &str, bytes: &[u8], photos: u64, budget: u64) -> Result<()> {
+        let checksum = table_digest(bytes)?;
         let file = format!("pk{:05}.pack", self.entries.len());
         let path = self.root.join(&file);
         std::fs::write(&path, bytes).map_err(|e| io_err(&path, &e))?;
         self.entries.push(CatalogEntry {
             name: name.to_string(),
             pack: file,
-            checksum: fnv1a64(bytes),
+            checksum,
             photos,
             budget,
         });
@@ -302,10 +307,14 @@ mod tests {
         let mut b = CatalogBuilder::create(&dir).unwrap();
         b.add_pack("t", &pack_instance(&inst).expect("packable"), 6, inst.budget()).unwrap();
         let cat = b.finish().unwrap();
-        // Overwrite the pack behind the index's back.
-        std::fs::write(dir.join(&cat.entries()[0].pack), b"garbage").unwrap();
-        let err = cat.load_by_name("t").unwrap_err();
-        assert!(matches!(err, PhocusError::Catalog { .. }), "{err}");
+        // Overwrite the pack behind the index's back: with bytes that are
+        // not a pack, and with another tenant's valid pack.
+        let other = pack_instance(&figure1_instance(5 * MB)).expect("packable");
+        for stale in [&b"garbage"[..], &other] {
+            std::fs::write(dir.join(&cat.entries()[0].pack), stale).unwrap();
+            let err = cat.load_by_name("t").unwrap_err();
+            assert!(matches!(err, PhocusError::Catalog { .. }), "{err}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -332,7 +341,7 @@ mod tests {
         ));
         std::fs::write(
             dir.join(INDEX_FILE),
-            "# phocus-catalog v2\ntenant\tx\tp.pack\tzz\t1\t1\n",
+            "# phocus-catalog v3\ntenant\tx\tp.pack\tzz\t1\t1\n",
         )
         .unwrap();
         assert!(matches!(
@@ -348,8 +357,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let record = "tenant\tx\tpk00000.pack\t00000000000000ff\t1\t1";
         for text in [
-            // A v1 header in front of an otherwise valid v2 record.
+            // Older headers in front of an otherwise valid v3 record: a v2
+            // index holds whole-file checksums, not table digests.
             format!("# phocus-catalog v1\n{record}\n"),
+            format!("# phocus-catalog v2\n{record}\n"),
             // A v1 record: eight fields, artifact columns included.
             format!("{HEADER}\n{record}\t-\t-\n"),
         ] {
@@ -362,7 +373,7 @@ mod tests {
                 "{text:?} must be rejected"
             );
         }
-        // The same record under the v2 header opens.
+        // The same record under the v3 header opens.
         std::fs::write(dir.join(INDEX_FILE), format!("{HEADER}\n{record}\n")).unwrap();
         assert_eq!(Catalog::open(&dir).unwrap().entries().len(), 1);
         let _ = std::fs::remove_dir_all(&dir);

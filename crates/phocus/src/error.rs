@@ -50,6 +50,9 @@ pub enum PhocusError {
         /// What was wrong with it.
         message: String,
     },
+    /// A representation option the chosen sparsification cannot honour
+    /// (EXIF mixing or per-context normalization under LSH).
+    InvalidRepresentation(&'static str),
     /// An I/O failure while reading an input file (CLI layer).
     Io {
         /// The path that failed.
@@ -76,6 +79,7 @@ impl fmt::Display for PhocusError {
             PhocusError::InvalidLadder { level, message } => {
                 write!(f, "ladder level {level}: {message}")
             }
+            PhocusError::InvalidRepresentation(what) => write!(f, "representation: {what}"),
             PhocusError::Io { path, message } => {
                 write!(f, "cannot read {path}: {message}")
             }

@@ -215,8 +215,10 @@ fn dense_store_contextual(
 /// representation choices into a validated, solvable instance.
 ///
 /// Returns a [`PhocusError`] wrapping the failing layer: a model violation
-/// from instance building, or an LSH planning failure when the sparsification
-/// threshold or recall target is not a valid parameter.
+/// from instance building, an LSH planning failure when the sparsification
+/// threshold or recall target is not a valid parameter, or
+/// [`PhocusError::InvalidRepresentation`] for LSH combined with EXIF mixing
+/// or per-context normalization (which only the dense paths implement).
 pub fn represent(universe: &Universe, budget: u64, cfg: &RepresentationConfig) -> Result<Instance> {
     let builder = builder_from_universe(universe, budget);
     match cfg.sparsification {
@@ -246,7 +248,19 @@ pub fn represent(universe: &Universe, budget: u64, cfg: &RepresentationConfig) -
             target_recall,
             seed,
         } => {
-            let contexts = context_vectors(universe, cfg);
+            // LSH signs and verifies plain contextual cosines; the dense-only
+            // options would be silently ignored here, so they are refused.
+            if cfg.exif_weight > 0.0 {
+                return Err(PhocusError::InvalidRepresentation(
+                    "EXIF mixing (exif_weight > 0) needs a dense representation, not LSH",
+                ));
+            }
+            if cfg.normalize_per_context {
+                return Err(PhocusError::InvalidRepresentation(
+                    "per-context normalization needs a dense representation, not LSH",
+                ));
+            }
+            let provider = contextual_provider(universe, cfg);
             let subsets = reconstruct_subsets(universe);
 
             // Per-context LSH over *contextual* embeddings ("a different
@@ -275,29 +289,18 @@ pub fn represent(universe: &Universe, budget: u64, cfg: &RepresentationConfig) -
             let hasher = par_lsh::SimHasher::new(dim, plan.total_bits(), seed);
 
             let sims = subsets.iter().map(|q| {
-                let qi = q.id.index();
-                let ctx = &contexts[qi];
+                let ctx = &provider.contexts[q.id.index()];
                 let n = q.members.len();
                 let mut pairs: Vec<(u32, u32, f64)> = Vec::new();
                 if n <= EXACT_CUTOFF {
-                    // Hoisted-invariant exact comparison: squared weights and
-                    // per-member norms once, dot per pair — bit-identical to
-                    // `contextual_cosine` on each pair.
-                    let kernel = ctx.kernel(cfg.blend);
-                    let norms: Vec<f64> = q
-                        .members
-                        .iter()
-                        .map(|&p| kernel.norm_term(&universe.embeddings[p.index()]))
-                        .collect();
+                    // Exact comparison through the provider's prepared
+                    // kernel (norm terms hoisted, a dot per pair). Its
+                    // clamp at 0 keeps exactly the pairs `c ≥ τ` keeps for
+                    // τ ≥ 0: zero similarities are never stored.
+                    let prepared = provider.prepare(q);
                     for i in 0..n {
                         for j in 0..i {
-                            let dot = kernel.dot_term(
-                                &universe.embeddings[q.members[i].index()],
-                                &universe.embeddings[q.members[j].index()],
-                            );
-                            let c = par_embed::ContextKernel::cosine_from_terms(
-                                dot, norms[i], norms[j],
-                            );
+                            let c = prepared.similarity_local(i, j);
                             if c >= tau {
                                 pairs.push((j as u32, i as u32, c));
                             }
@@ -536,6 +539,29 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn lsh_refuses_dense_only_options() {
+        let u = small_universe(8);
+        let budget = u.total_cost() / 3;
+        let lsh = RepresentationConfig::phocus(0.6);
+        for cfg in [
+            RepresentationConfig {
+                exif_weight: 0.35,
+                ..lsh.clone()
+            },
+            RepresentationConfig {
+                normalize_per_context: true,
+                ..lsh.clone()
+            },
+        ] {
+            assert!(matches!(
+                represent(&u, budget, &cfg),
+                Err(PhocusError::InvalidRepresentation(_))
+            ));
+        }
+        assert!(represent(&u, budget, &lsh).is_ok());
     }
 
     #[test]

@@ -331,6 +331,29 @@ fn hostile_budgets_exit_with_usage_code() {
 }
 
 #[test]
+fn hostile_taus_exit_with_usage_code() {
+    // τ is a similarity threshold: `--tau -0.5` used to exit 3, blaming the
+    // first similarity it rejected as bad data.
+    let out_path = std::env::temp_dir().join("phocus_cli_tau.pack");
+    let out_path = out_path.to_str().unwrap();
+    for verb in ["solve", "epochs", "suite", "pack"] {
+        for tau in ["-0.5", "1.5", "NaN", "-inf"] {
+            let mut args = vec![verb, "--dataset", "tiny", "--tau", tau];
+            if verb == "pack" {
+                args.extend(["--out", out_path]);
+            }
+            let out = phocus(&args);
+            assert_eq!(out.status.code(), Some(2), "{verb} --tau {tau}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains("--tau must be in [0, 1]"),
+                "{verb} {tau}: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
 fn unread_flags_exit_with_usage_code() {
     // A misspelled flag must not silently solve at the default budget, and
     // the retired path-selecting flags are rejected, not ignored.

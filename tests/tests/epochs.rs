@@ -4,9 +4,10 @@
 //! Three layers of proof:
 //!
 //! 1. **Partition property**: for any instance and any churn-generated
-//!    epoch delta, the incrementally maintained [`ShardLabels`] equal a
-//!    from-scratch [`shard_labels`] of the post-delta instance — same
-//!    partition, same shard numbering, same singleton pool.
+//!    epoch delta, the delta's [`ShardLabels`] equal a from-scratch
+//!    [`shard_labels`] of the post-delta instance — same partition, same
+//!    shard numbering, same singleton pool — and no interaction edge joins
+//!    a dirty photo to a clean one.
 //! 2. **Replay property**: a warm [`IncrementalSolver`] carried through a
 //!    churn trace produces, at every epoch, the *bit-identical* outcome of
 //!    [`main_algorithm_sharded`] on the post-delta instance — selections,
@@ -17,7 +18,7 @@
 
 use par_algo::{main_algorithm_sharded, GreedyRule, IncrementalSolver};
 use par_core::fixtures::{random_instance, RandomInstanceConfig};
-use par_core::{shard_labels, Instance, PhotoId};
+use par_core::{shard_labels, AppliedDelta, ContextSim, Instance, PhotoId};
 use par_datasets::{generate_churn, resolve_epoch, ChurnConfig};
 use par_exec::Parallelism;
 use proptest::prelude::*;
@@ -113,12 +114,45 @@ fn assert_labels_equal(
     }
 }
 
+/// Asserts that no interaction edge of the post-delta instance joins a
+/// dirty photo to a clean one: the property that lets a clean shard replay
+/// its cached transcript.
+fn assert_no_edge_crosses_dirty_boundary(applied: &AppliedDelta, context: &str) {
+    let inst = &applied.instance;
+    let dirty = &applied.dirty_photos;
+    for q in inst.subsets() {
+        match inst.sim(q.id) {
+            ContextSim::Sparse(sp) => {
+                for (pos, &m) in q.members.iter().enumerate() {
+                    for &j in sp.neighbors(pos).0 {
+                        let other = q.members[j as usize];
+                        assert_eq!(
+                            dirty[m.index()],
+                            dirty[other.index()],
+                            "{context}: stored pair {m}–{other} in {} crosses the clean/dirty boundary",
+                            q.id
+                        );
+                    }
+                }
+            }
+            // Dense and unit stores couple every co-member pair.
+            _ => assert!(
+                q.members
+                    .iter()
+                    .all(|&m| dirty[m.index()] == dirty[q.members[0].index()]),
+                "{context}: clique {} mixes clean and dirty photos",
+                q.id
+            ),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Incremental label maintenance is indistinguishable from re-running
-    /// the from-scratch decomposition on the post-delta instance — for
-    /// every epoch of a generated churn trace, chained.
+    /// The post-delta labels equal the from-scratch decomposition of the
+    /// post-delta instance, and the dirty marks never split an interaction
+    /// edge — for every epoch of a generated churn trace, chained.
     #[test]
     fn incremental_labels_equal_from_scratch_labels((base, seed) in instance_strategy()) {
         let trace = generate_churn(&base, &churn_config(3, seed)).unwrap();
@@ -134,6 +168,7 @@ proptest! {
                 applied.instance.num_photos(),
                 &format!("epoch {e}"),
             );
+            assert_no_edge_crosses_dirty_boundary(&applied, &format!("epoch {e}"));
             inst = applied.instance;
             labels = applied.labels;
         }

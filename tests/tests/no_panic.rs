@@ -291,10 +291,10 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// Pack layout constants mirrored from `par_core::pack` (the format spec in
-/// DESIGN.md §15): 16-byte header, 32-byte table entries, 8 sections.
+/// DESIGN.md §15): 16-byte header, 32-byte table entries, 7 sections.
 const PACK_HEADER: usize = 16;
 const PACK_ENTRY: usize = 32;
-const PACK_SECTIONS: usize = 8;
+const PACK_SECTIONS: usize = 7;
 
 /// A small but structurally complete valid pack (sparse similarities, a
 /// required photo, multiple components) the corruption cases start from.
